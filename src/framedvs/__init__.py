@@ -1,7 +1,9 @@
 """Frame-based inter-task DVS scheduling toolkit.
 
 Builds discrete-frequency step-function strategies, verifies them with a
-necessary-and-sufficient schedulability check, and simulates expedient
+sound schedulability check (exact on strategies that stay at or above
+the limit past each task's reachable start times; it may reject a
+strategy that dips below the limit only where no run starts), and simulates expedient
 frame execution to compare the energy of round-up versus closest
 discretizations of continuous speed rules.
 """

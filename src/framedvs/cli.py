@@ -10,20 +10,24 @@ import argparse
 import json
 import os
 import sys as _sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .config import (
     ExperimentConfig,
+    StrategyEntry,
     load_experiment,
     load_strategy,
     load_system,
     save_strategy,
 )
-from .core import FrameDvsError, FrameSystem, InfeasibleSystemError, TaskSpec
-from .schedulability import DangerZones, check, danger_zones, danger_zones_overhead
-from .simulator import run_frames, sample_cycles, sweep_deadlines, _stats
+from .core import FrameDvsError, FrameSystem, InfeasibleSystemError, StrategySet, TaskSpec
+# danger_zones, run_frames and _stats have no caller here; they stay for the
+# per-layer tracer in perfbench/, which wraps this module's names
+from .schedulability import check, danger_zones, danger_zones_overhead  # noqa: F401
+from .simulator import _stats, evaluate, run_frames, sample_cycles, sweep_deadlines  # noqa: F401
 from .strategies import BetaVector, build_limit, discretize, dpms_rule, pitdvs_rule
 from .oracle import worst_finish_oracle
 from .workload import soft_deadline
@@ -31,22 +35,17 @@ from .workload import soft_deadline
 __all__ = ["main"]
 
 
-def _zones_for(system: FrameSystem, mode: str) -> DangerZones:
-    if mode == "plain":
-        return danger_zones(system)
-    return danger_zones_overhead(system, mode)
-
-
-def _build_from_entry(system: FrameSystem, zones, kind, mode, beta, pt):
-    if kind == "limit":
+def _build_entry(entry: StrategyEntry, system: FrameSystem, zones) -> StrategySet:
+    """Build one strategy entry; pitdvs reads ``beta`` and ``pt`` from its params."""
+    mode = entry.mode
+    if entry.kind == "limit":
         return build_limit(system, zones)
-    if kind == "dpms":
+    if entry.kind == "dpms":
         return discretize(system, zones, dpms_rule(system, mode), mode)
-    if kind == "pitdvs":
-        bv = BetaVector(tuple(beta)) if beta else BetaVector.ones(system.n_tasks)
-        penalty = system.cpu.change_penalty_max if pt is None else float(pt)
-        return discretize(system, zones, pitdvs_rule(system, bv, penalty, mode), mode)
-    raise ValueError(f"unknown strategy kind {kind!r}")
+    beta, pt = entry.params.get("beta"), entry.params.get("pt")
+    bv = BetaVector(tuple(beta)) if beta else BetaVector.ones(system.n_tasks)
+    penalty = system.cpu.change_penalty_max if pt is None else float(pt)
+    return discretize(system, zones, pitdvs_rule(system, bv, penalty, mode), mode)
 
 
 def _soft_build_system(system: FrameSystem, eps: float, soft_wcec: str) -> FrameSystem:
@@ -64,7 +63,7 @@ def _soft_build_system(system: FrameSystem, eps: float, soft_wcec: str) -> Frame
 def cmd_check(args) -> int:
     system = load_system(args.system)
     strategy = load_strategy(args.strategy)
-    zones = _zones_for(system, args.mode)
+    zones = danger_zones_overhead(system, args.mode)
     report = check(system, strategy, zones)
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.schedulable else 1
@@ -72,24 +71,25 @@ def cmd_check(args) -> int:
 
 def cmd_build(args) -> int:
     system = load_system(args.system)
-    zones = _zones_for(system, args.zones)
+    zones = danger_zones_overhead(system, args.zones)
     beta = [float(b) for b in args.beta.split(",")] if args.beta else None
-    strategy = _build_from_entry(system, zones, args.kind, args.mode, beta, args.pt)
+    entry = StrategyEntry(args.kind, args.kind, args.mode, {"beta": beta, "pt": args.pt})
+    strategy = _build_entry(entry, system, zones)
     save_strategy(strategy, args.out)
     print(f"wrote {args.out}")
     return 0
 
 
 def _experiment_builders(cfg: ExperimentConfig):
-    builders = []
-    for entry in cfg.strategies:
-        def fn(s, z, _e=entry):
-            beta = _e.params.get("beta")
-            pt = _e.params.get("pt")
-            return _build_from_entry(s, z, _e.kind, _e.mode, beta, pt)
+    return [(entry.name, partial(_build_entry, entry)) for entry in cfg.strategies]
 
-        builders.append((entry.name, fn))
-    return builders
+
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        Path(out).write_text(text)
+        print(f"wrote {out}")
+    else:
+        print(text, end="")
 
 
 def cmd_simulate(args) -> int:
@@ -97,37 +97,25 @@ def cmd_simulate(args) -> int:
     sim = cfg.simulation
     seed = sim.seed if args.seed is None else args.seed
     overheads = (args.overheads or sim.overheads) == "on"
-    zone_mode = "sufficient" if overheads else "plain"
     system = cfg.system
     build_sys = system
     if sim.soft_eps is not None:
         build_sys = _soft_build_system(system, sim.soft_eps, sim.soft_wcec)
-    zones = _zones_for(build_sys, zone_mode)
+    zones = danger_zones_overhead(build_sys, "sufficient" if overheads else "plain")
+    cycles = sample_cycles(system, np.random.default_rng(seed), sim.n_frames)
+    results = evaluate(system, build_sys, zones, _experiment_builders(cfg), cycles, overheads)
     lines = [
         "strategy,frames,mean_energy_j,stderr_j,miss_rate,mean_freq_changes,mean_switch_time_s"
     ]
-    rng = np.random.default_rng(seed)
-    cycles = sample_cycles(system, rng, sim.n_frames)
-    for name, fn in _experiment_builders(cfg):
-        try:
-            strategy = fn(build_sys, zones)
-        except InfeasibleSystemError:
+    for name, st in results.items():
+        if st is None:
             lines.append(f"{name},{sim.n_frames},NA,NA,NA,NA,NA")
-            continue
-        _, energy, switch, changes, missed = run_frames(
-            system, strategy, cycles, overheads
-        )
-        st = _stats(energy, switch, changes, missed)
-        lines.append(
-            f"{name},{st.frames},{st.mean_energy!r},{st.energy_stderr!r},"
-            f"{st.miss_rate!r},{st.mean_frequency_changes!r},{st.mean_switch_time!r}"
-        )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+        else:
+            lines.append(
+                f"{name},{st.frames},{st.mean_energy!r},{st.energy_stderr!r},"
+                f"{st.miss_rate!r},{st.mean_frequency_changes!r},{st.mean_switch_time!r}"
+            )
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -136,9 +124,12 @@ def cmd_sweep(args) -> int:
     if cfg.sweep is None:
         raise ValueError("config has no sweep section")
     sim = cfg.simulation
+    if sim.soft_eps is not None:
+        raise ValueError(
+            "sweep does not support simulation.soft_eps; use simulate for soft deadlines"
+        )
     seed = sim.seed if args.seed is None else args.seed
     overheads = (args.overheads or sim.overheads) == "on"
-    zone_mode = "sufficient" if overheads else "plain"
     table = sweep_deadlines(
         cfg.system,
         _experiment_builders(cfg),
@@ -149,14 +140,9 @@ def cmd_sweep(args) -> int:
         seed,
         baseline=cfg.sweep.baseline,
         overheads=overheads,
-        zone_mode=zone_mode,
+        zone_mode="sufficient" if overheads else "plain",
     )
-    text = table.to_csv()
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+    _emit(table.to_csv(), args.out)
     if args.svg:
         from .svgchart import write_ratio_chart
 

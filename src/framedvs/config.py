@@ -38,17 +38,24 @@ __all__ = [
 MHZ = 1e6
 
 
+def _cycles(v) -> int:
+    """A cycle count from JSON: integral numbers only, never truncated."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"cycle count {v!r} is not an integer")
+    return int(v)
+
+
 def _dist_from_dict(d: dict, base: Path | None) -> CycleDistribution:
     kind = d.get("kind")
     if kind == "uniform":
-        return CycleDistribution.uniform(int(d["lo"]), int(d["hi"]))
+        return CycleDistribution.uniform(_cycles(d["lo"]), _cycles(d["hi"]))
     if kind == "histogram":
         if "histogram_file" in d:
             path = Path(d["histogram_file"])
             if base is not None and not path.is_absolute():
                 path = base / path
             return read_histogram_csv(path)
-        return CycleDistribution.histogram(int(d["bin_size"]), list(d["probs"]))
+        return CycleDistribution.histogram(_cycles(d["bin_size"]), list(d["probs"]))
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 
@@ -75,7 +82,7 @@ def system_from_dict(d: dict, base: Path | None = None) -> FrameSystem:
     for k, td in enumerate(d["tasks"]):
         dist = _dist_from_dict(td["dist"], base)
         tasks.append(
-            TaskSpec(int(td["wcec"]), dist, label=td.get("label", f"T{k + 1}"))
+            TaskSpec(_cycles(td["wcec"]), dist, label=td.get("label", f"T{k + 1}"))
         )
     return FrameSystem(tuple(tasks), float(d["deadline_s"]), cpu)
 
@@ -117,7 +124,8 @@ def load_strategy(path: str | Path) -> StrategySet:
 
 
 def save_strategy(strategy: StrategySet, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(strategy_to_dict(strategy), indent=2) + "\n")
+    text = json.dumps(strategy_to_dict(strategy), indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ files are converted on ingestion.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -78,6 +79,9 @@ class FrequencyTable:
             raise ValueError("power values must be nonnegative")
         pt = self.switch_penalty or tuple((0.0,) * m for _ in range(m))
         pt = tuple(tuple(float(x) for x in row) for row in pt)
+        st = tuple(float(x) for x in self.same_speed_switch or (0.0,) * m)
+        if not all(map(math.isfinite, freqs + power + st + sum(pt, ()))):
+            raise ValueError("frequency table values must be finite")
         if len(pt) != m or any(len(row) != m for row in pt):
             raise ValueError("switch penalty table must be MxM")
         if any(x < 0 for row in pt for x in row):
@@ -86,8 +90,6 @@ class FrequencyTable:
             raise ValueError(
                 "worst change penalty must be the slowest-to-fastest entry"
             )
-        st = self.same_speed_switch or (0.0,) * m
-        st = tuple(float(x) for x in st)
         if len(st) != m:
             raise ValueError("same-speed switch table length does not match")
         if any(x < 0 for x in st):
@@ -152,8 +154,8 @@ class FrameSystem:
         object.__setattr__(self, "tasks", tuple(self.tasks))
         if not self.tasks:
             raise ValueError("system needs at least one task")
-        if self.deadline <= 0:
-            raise ValueError("deadline must be positive")
+        if not 0 < self.deadline < math.inf:
+            raise ValueError("deadline must be positive and finite")
 
     @property
     def n_tasks(self) -> int:
@@ -187,6 +189,8 @@ class StepFunction:
             raise ValueError("step times must be strictly increasing")
         if any(f <= 0 for _, f in pts):
             raise ValueError("frequencies must be positive")
+        if not all(math.isfinite(t) and math.isfinite(f) for t, f in pts):
+            raise ValueError("step times and frequencies must be finite")
         object.__setattr__(self, "_times", times)
 
     def __len__(self) -> int:

@@ -26,15 +26,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DangerZones:
-    """Start-time bounds z_1..z_{N+1}; the last entry is the deadline."""
+    """Start-time bounds z_1..z_{N+1}; the last entry is the deadline.
+
+    ``targets[i]`` is the time by which task i (0-based) must finish; it
+    defaults to the next zone start z[i+1].
+    """
 
     z: tuple[float, ...]
     mode: str = "plain"
+    targets: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "z", tuple(float(v) for v in self.z))
+        z = tuple(float(v) for v in self.z)
+        object.__setattr__(self, "z", z)
         if self.mode not in ("plain", "necessary", "sufficient"):
             raise ValueError(f"unknown zone mode {self.mode!r}")
+        targets = z[1:] if self.targets is None else tuple(float(v) for v in self.targets)
+        if len(targets) != len(z) - 1:
+            raise ValueError("need one finish target per task")
+        object.__setattr__(self, "targets", targets)
+
+    def crossing(self, i: int, w: float, f: float) -> float:
+        """Start time at which task i's limit w / (targets[i] - t) reaches speed f.
+
+        The check and every builder place and test step times with this
+        one expression, so a built strategy passes its own check exactly.
+        """
+        return self.targets[i] - w / f
 
 
 @dataclass(frozen=True)
@@ -72,9 +90,9 @@ class CheckReport:
 def _zones_from_wcecs(
     wcecs, deadline: float, f_max: float, per_switch: float = 0.0
 ) -> list[float]:
-    # Backward chain z[i] = (z[i+1] - per_switch) - w_i/f_max. This float
-    # expression order matches the builders' limit crossings bit for bit,
-    # so a built strategy always passes its own check.
+    # Backward chain z[i] = (z[i+1] - per_switch) - w_i/f_max. In plain and
+    # sufficient mode this is bit for bit DangerZones.crossing at f_max, so a
+    # built strategy's top step starting at z[i] passes its own check.
     z = [0.0] * (len(wcecs) + 1)
     z[len(wcecs)] = deadline
     for i in range(len(wcecs) - 1, -1, -1):
@@ -90,34 +108,29 @@ def danger_zones(sys: FrameSystem) -> DangerZones:
 def danger_zones_overhead(sys: FrameSystem, mode: str) -> DangerZones:
     """Zones shifted by one job-switch time budget per remaining task.
 
+    mode="plain" budgets nothing (the zones of ``danger_zones``);
     mode="necessary" budgets the same-speed switch time at top frequency;
     mode="sufficient" budgets the worst change penalty. The deadline entry
     gets zero budget.
+
+    Sufficient mode also moves every finish target one worst change
+    penalty before the next zone. A task reads its frequency when the
+    previous task ends and only then pays the change penalty, so
+    guaranteeing a start by the next zone requires finishing one penalty
+    earlier. Without this margin a strategy can satisfy the per-zone
+    inequality and still overrun the deadline by up to one penalty.
     """
-    if mode == "necessary":
+    if mode == "plain":
+        per_switch = 0.0
+    elif mode == "necessary":
         per_switch = sys.cpu.same_speed_at_max
     elif mode == "sufficient":
         per_switch = sys.cpu.change_penalty_max
     else:
         raise ValueError(f"unknown overhead mode {mode!r}")
-    return DangerZones(
-        tuple(_zones_from_wcecs(sys.wcecs, sys.deadline, sys.cpu.f_max, per_switch)),
-        mode=mode,
-    )
-
-
-def _target_margin(sys: FrameSystem, zones: DangerZones) -> float:
-    """Slack subtracted from finish targets in sufficient mode.
-
-    A task reads its frequency when the previous task ends and only then
-    pays the change penalty, so guaranteeing a start by the next zone
-    requires finishing one worst change penalty earlier. Without this
-    margin a strategy can satisfy the per-zone inequality and still
-    overrun the deadline by up to one penalty.
-    """
-    if zones.mode == "sufficient":
-        return sys.cpu.change_penalty_max
-    return 0.0
+    z = _zones_from_wcecs(sys.wcecs, sys.deadline, sys.cpu.f_max, per_switch)
+    targets = tuple(zk - per_switch for zk in z[1:]) if mode == "sufficient" else None
+    return DangerZones(tuple(z), mode, targets)
 
 
 def limit(sys: FrameSystem, zones: DangerZones, i: int, t: float) -> float:
@@ -126,29 +139,22 @@ def limit(sys: FrameSystem, zones: DangerZones, i: int, t: float) -> float:
     Grows hyperbolically toward the top frequency, which it reaches
     exactly at the start of the task's danger zone.
     """
-    target = zones.z[i + 1] - _target_margin(sys, zones)
+    target = zones.targets[i]
     if t >= target:
         raise ValueError("past feasibility horizon")
     return sys.tasks[i].wcec / (target - t)
 
 
 def _check_zones(
-    wcecs,
-    funcs: tuple[StepFunction, ...],
-    z: tuple[float, ...],
-    margin: float,
-    upto: int,
+    wcecs, funcs: tuple[StepFunction, ...], zones: DangerZones, upto: int
 ) -> CheckReport:
-    """Scan tasks upto-1 .. 0 against zones z, first violation wins.
+    """Scan tasks upto-1 .. 0 against the zones, first violation wins.
 
     A step violates when the constrained part of its interval outlasts
-    the point where the limit crosses its frequency. The crossing is
-    computed as target - w/f, the same float expression the builders
-    place step times with, so built strategies pass exactly.
+    the point where the limit crosses its frequency.
     """
     for i in range(upto - 1, -1, -1):
-        zi = z[i]
-        target = z[i + 1] - margin
+        zi = zones.z[i]
         if zi < 0:
             return CheckReport(
                 False,
@@ -160,9 +166,8 @@ def _check_zones(
                 break
             t_next = pts[k + 1][0] if k + 1 < len(pts) else math.inf
             bound = min(t_next, zi)
-            crossing = target - wcecs[i] / fk
-            if bound > crossing:
-                required = wcecs[i] / (target - bound)
+            if bound > zones.crossing(i, wcecs[i], fk):
+                required = wcecs[i] / (zones.targets[i] - bound)
                 return CheckReport(False, Violation(i + 1, k + 1, required, fk))
     return CheckReport(True)
 
@@ -179,8 +184,7 @@ def check(sys: FrameSystem, strategy: StrategySet, zones: DangerZones) -> CheckR
     """
     if len(strategy) != sys.n_tasks:
         raise ValueError("strategy length does not match task count")
-    margin = _target_margin(sys, zones)
-    return _check_zones(sys.wcecs, strategy.funcs, zones.z, margin, sys.n_tasks)
+    return _check_zones(sys.wcecs, strategy.funcs, zones, sys.n_tasks)
 
 
 def recheck_prefix(
@@ -199,5 +203,5 @@ def recheck_prefix(
         raise ValueError("strategy length does not match task count")
     wcecs = list(sys.wcecs)
     wcecs[i] = int(new_w)
-    z = tuple(_zones_from_wcecs(wcecs, sys.deadline, sys.cpu.f_max))
-    return _check_zones(wcecs, strategy.funcs, z, 0.0, i + 1)
+    zones = DangerZones(tuple(_zones_from_wcecs(wcecs, sys.deadline, sys.cpu.f_max)))
+    return _check_zones(wcecs, strategy.funcs, zones, i + 1)

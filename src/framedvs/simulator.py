@@ -22,7 +22,8 @@ from .core import (
     InfeasibleSystemError,
     StrategySet,
 )
-from .schedulability import DangerZones, danger_zones, danger_zones_overhead
+# danger_zones has no caller here; it stays for the per-layer tracer in perfbench/
+from .schedulability import DangerZones, danger_zones, danger_zones_overhead  # noqa: F401
 
 __all__ = [
     "FrameResult",
@@ -33,10 +34,13 @@ __all__ = [
     "run_frames",
     "monte_carlo",
     "exact_expectation",
+    "evaluate",
     "sweep_deadlines",
 ]
 
 ENUMERATION_CAP = 1_000_000
+
+Builder = Callable[[FrameSystem, DangerZones], StrategySet]
 
 
 @dataclass(frozen=True)
@@ -258,9 +262,34 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
 
+def evaluate(
+    sys: FrameSystem,
+    build_sys: FrameSystem,
+    zones: DangerZones,
+    builders: Sequence[tuple[str, Builder]],
+    cycles: np.ndarray,
+    overheads: bool = False,
+) -> dict[str, SimStats | None]:
+    """Build each strategy for ``build_sys`` and run it on ``sys``.
+
+    Every strategy runs on the same cycle draws. A builder that finds the
+    system infeasible maps to None.
+    """
+    out: dict[str, SimStats | None] = {}
+    for name, build in builders:
+        try:
+            strat = build(build_sys, zones)
+        except InfeasibleSystemError:
+            out[name] = None
+            continue
+        _, energy, switch, changes, missed = run_frames(sys, strat, cycles, overheads)
+        out[name] = _stats(energy, switch, changes, missed)
+    return out
+
+
 def sweep_deadlines(
     sys: FrameSystem,
-    strategy_builders: Sequence[tuple[str, Callable[[FrameSystem, DangerZones], StrategySet]]],
+    strategy_builders: Sequence[tuple[str, Builder]],
     d_lo: float,
     d_hi: float,
     n_points: int,
@@ -291,22 +320,8 @@ def sweep_deadlines(
         sys_d = replace(sys, deadline=float(d))
         rng = np.random.default_rng([seed, p_idx])
         cycles = sample_cycles(sys_d, rng, n_frames)
-        zones = (
-            danger_zones(sys_d)
-            if zone_mode == "plain"
-            else danger_zones_overhead(sys_d, zone_mode)
-        )
-        point_stats: dict[str, SimStats | None] = {}
-        for name, build in strategy_builders:
-            try:
-                strat = build(sys_d, zones)
-            except InfeasibleSystemError:
-                point_stats[name] = None
-                continue
-            _, energy, switch, changes, missed = run_frames(
-                sys_d, strat, cycles, overheads
-            )
-            point_stats[name] = _stats(energy, switch, changes, missed)
+        zones = danger_zones_overhead(sys_d, zone_mode)
+        point_stats = evaluate(sys_d, sys_d, zones, strategy_builders, cycles, overheads)
         base = point_stats[baseline]
         for name in names:
             st = point_stats[name]

@@ -7,7 +7,7 @@ limit, so its output passes the check by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
@@ -18,7 +18,7 @@ from .core import (
     normalize_steps,
     quantize,
 )
-from .schedulability import DangerZones, _target_margin
+from .schedulability import DangerZones
 
 __all__ = [
     "ContinuousRule",
@@ -46,7 +46,6 @@ class ContinuousRule:
     """
 
     inverse: Callable[[int, float], float]
-    params: dict = field(default_factory=dict)
     mode: str = "closest"
     name: str = "custom"
 
@@ -68,13 +67,6 @@ class BetaVector:
         return cls((1.0,) * n)
 
 
-def _require_feasible(zones: DangerZones) -> None:
-    if zones.z[0] < 0:
-        raise InfeasibleSystemError(
-            "infeasible: total worst-case work exceeds the deadline at top speed"
-        )
-
-
 def build_limit(sys: FrameSystem, zones: DangerZones) -> StrategySet:
     """Laziest schedulable strategy: the limit ceilinged to table speeds.
 
@@ -82,18 +74,7 @@ def build_limit(sys: FrameSystem, zones: DangerZones) -> StrategySet:
     f_{j-1}; crossings before time 0 clamp to 0 and collapse in
     normalization.
     """
-    _require_feasible(zones)
-    freqs = sys.cpu.freqs
-    margin = _target_margin(sys, zones)
-    funcs = []
-    for i, task in enumerate(sys.tasks):
-        target = zones.z[i + 1] - margin
-        raw = [(0.0, freqs[0])]
-        for j in range(1, len(freqs)):
-            t = target - task.wcec / freqs[j - 1]
-            raw.append((max(t, 0.0), freqs[j]))
-        funcs.append(normalize_steps(raw))
-    return StrategySet(tuple(funcs))
+    return discretize(sys, zones, limit_rule(sys, zones), "up")
 
 
 def dpms_rule(sys: FrameSystem, mode: str = "closest") -> ContinuousRule:
@@ -111,7 +92,7 @@ def dpms_rule(sys: FrameSystem, mode: str = "closest") -> ContinuousRule:
     def inverse(i: int, f: float) -> float:
         return d - remaining[i] / f
 
-    return ContinuousRule(inverse, params={"avg": tuple(means)}, mode=mode, name="dpms")
+    return ContinuousRule(inverse, mode=mode, name="dpms")
 
 
 def pitdvs_rule(
@@ -127,8 +108,8 @@ def pitdvs_rule(
     """
     if len(beta.beta) != sys.n_tasks:
         raise ValueError("beta length does not match task count")
-    if pt < 0:
-        raise ValueError("penalty must be nonnegative")
+    if not 0 <= pt < math.inf:
+        raise ValueError("penalty must be finite and nonnegative")
     n = sys.n_tasks
     d = sys.deadline
     horizons = [d - pt * (n - 1 - i) for i in range(n)]
@@ -139,9 +120,7 @@ def pitdvs_rule(
     def inverse(i: int, f: float) -> float:
         return horizons[i] - wc[i] / (beta.beta[i] * f)
 
-    return ContinuousRule(
-        inverse, params={"beta": beta.beta, "pt": float(pt)}, mode=mode, name="pitdvs"
-    )
+    return ContinuousRule(inverse, mode=mode, name="pitdvs")
 
 
 def discretize(
@@ -157,17 +136,18 @@ def discretize(
     """
     if mode not in ("up", "closest"):
         raise ValueError(f"unknown discretize mode {mode!r}")
-    _require_feasible(zones)
+    if zones.z[0] < 0:
+        raise InfeasibleSystemError(
+            "infeasible: total worst-case work exceeds the deadline at top speed"
+        )
     freqs = sys.cpu.freqs
-    margin = _target_margin(sys, zones)
     funcs = []
     for i, task in enumerate(sys.tasks):
-        target = zones.z[i + 1] - margin
         raw = [(0.0, freqs[0])]
         for j in range(1, len(freqs)):
             f_query = freqs[j - 1] if mode == "up" else (freqs[j - 1] + freqs[j]) / 2.0
             t_rule = rule.inverse(i, f_query)
-            t_lim = target - task.wcec / freqs[j - 1]
+            t_lim = zones.crossing(i, task.wcec, freqs[j - 1])
             raw.append((max(min(t_rule, t_lim), 0.0), freqs[j]))
         funcs.append(normalize_steps(raw))
     return StrategySet(tuple(funcs))
@@ -220,12 +200,6 @@ def build_soft_speed(sys: FrameSystem, soft) -> StrategySet:
 
 def limit_rule(sys: FrameSystem, zones: DangerZones) -> ContinuousRule:
     """The schedulability limit itself as a continuous rule."""
-    margin = _target_margin(sys, zones)
     wc = sys.wcecs
-    z = zones.z
-
-    def inverse(i: int, f: float) -> float:
-        return (z[i + 1] - margin) - wc[i] / f
-
-    return ContinuousRule(inverse, mode="up", name="limit")
+    return ContinuousRule(lambda i, f: zones.crossing(i, wc[i], f), mode="up", name="limit")
 

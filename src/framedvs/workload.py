@@ -76,7 +76,7 @@ class CycleDistribution:
 
     @staticmethod
     def _validate_probs(probs) -> None:
-        if any(p < 0 for p in probs):
+        if not all(p >= 0 for p in probs):  # also rejects NaN; inf fails the sum
             raise ValueError("probabilities must be nonnegative")
         if abs(math.fsum(probs) - 1.0) > _PROB_TOL:
             raise ValueError("probabilities must sum to 1")

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -211,3 +212,107 @@ class TestOtherCommands:
     def test_threads_env_validated(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRAMEDVS_THREADS", "zero")
         assert main(["soft-deadline", "--system", "x", "--eps", "0.1"]) == 2
+
+
+def _set(path, value):
+    """System-dict patch that sets the entry at ``path`` to ``value``."""
+
+    def apply(d):
+        *head, last = path
+        for key in head:
+            d = d[key]
+        d[last] = value
+
+    return apply
+
+
+class TestNonFiniteInput:
+    """Inputs a verdict cannot rest on are invalid input (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "patch,strategy,build_args",
+        [
+            pytest.param(_set(("deadline_s",), math.nan), None, [], id="deadline-nan-build"),
+            pytest.param(_set(("deadline_s",), math.nan), {"funcs": [[[0.0, 1e9]]]}, [],
+                         id="deadline-nan-check"),
+            pytest.param(_set(("deadline_s",), math.inf), {"funcs": [[[0.0, 1e9]]]}, [],
+                         id="deadline-inf-check"),
+            pytest.param(_set(("cpu", "freqs_mhz", 0), math.nan), None, [], id="freq-nan"),
+            pytest.param(_set(("cpu", "power_w", 1), math.inf), None, [], id="power-inf"),
+            pytest.param(_set(("cpu", "pt_matrix_s"), [[0.0, 1e-6], [math.nan, 0.0]]),
+                         None, [], id="penalty-nan"),
+            pytest.param(_set(("cpu", "st_vector_s"), [0.0, math.inf]), None, [],
+                         id="same-speed-switch-inf"),
+            pytest.param(_set(("tasks", 0, "wcec"), 600_000_000.5), None, [],
+                         id="wcec-fraction"),
+            pytest.param(None, {"funcs": [[[0.0, 500e6], [math.nan, 1e9]]]}, [],
+                         id="step-time-nan"),
+            pytest.param(None, {"funcs": [[[0.0, math.inf]]]}, [], id="step-freq-inf"),
+            pytest.param(_set(("tasks", 0, "dist"), {"kind": "histogram", "bin_size": 300_000_000,
+                                                     "probs": [math.nan, 1.0]}),
+                         None, [], id="histogram-prob-nan"),
+            pytest.param(None, None, ["--kind", "pitdvs", "--pt", "nan"], id="pitdvs-pt-nan"),
+            pytest.param(_set(("tasks",), [{"wcec": 100, "dist": {"kind": "uniform", "lo": 50,
+                                                                  "hi": 100}}] * 2),
+                         None, ["--kind", "pitdvs", "--pt", "inf"], id="pitdvs-pt-inf"),
+        ],
+    )
+    def test_exits_two(self, tmp_path, patch, strategy, build_args):
+        d = small_system_dict(wcecs=(600_000_000,))
+        if patch is not None:
+            patch(d)
+        sys_file = write_json(tmp_path / "sys.json", d)
+        if strategy is None:
+            argv = ["build", "--system", str(sys_file), "--out", str(tmp_path / "o.json")]
+            argv += build_args or ["--kind", "limit"]
+        else:
+            strat_file = write_json(tmp_path / "strategy.json", strategy)
+            argv = ["check", "--system", str(sys_file), "--strategy", str(strat_file)]
+        assert main(argv) == 2
+
+
+class TestSoftDeadlineExperiments:
+    """simulate builds against the relaxed system; sweep refuses soft_eps."""
+
+    def experiment(self, tmp_path, **simulation):
+        system = {
+            "deadline_s": 9.0e-7,
+            "cpu": {"freqs_mhz": [500.0, 1000.0], "power_w": [0.4, 1.6]},
+            "tasks": [
+                {"wcec": 400, "dist": {"kind": "histogram", "bin_size": 100,
+                                       "probs": [0.4, 0.3, 0.2, 0.1]}},
+                {"wcec": 300, "dist": {"kind": "histogram", "bin_size": 100,
+                                       "probs": [0.5, 0.3, 0.2]}},
+            ],
+        }
+        d = {
+            "system": system,
+            "strategies": [
+                {"name": "limit", "kind": "limit"},
+                {"name": "dpms_up", "kind": "dpms", "mode": "up"},
+                {"name": "dpms_closest", "kind": "dpms", "mode": "closest"},
+                {"name": "pitdvs", "kind": "pitdvs", "mode": "closest"},
+            ],
+            "simulation": {"n_frames": 2000, "seed": 5, "overheads": "off", **simulation},
+            "sweep": {"d_lo": 8.0e-7, "d_hi": 1.2e-6, "n_points": 3, "baseline": "limit"},
+        }
+        return write_json(tmp_path / "exp.json", d)
+
+    def rows(self, tmp_path, **simulation) -> list[str]:
+        out = tmp_path / "stats.csv"
+        assert main(["simulate", "--config", str(self.experiment(tmp_path, **simulation)),
+                     "--out", str(out)]) == 0
+        return out.read_text().splitlines()[1:]
+
+    @pytest.mark.parametrize("soft_wcec", ["kappa", "true_wcec"])
+    def test_simulate_builds_for_the_relaxed_deadline(self, tmp_path, soft_wcec):
+        hard = self.rows(tmp_path)
+        soft = self.rows(tmp_path, soft_eps=0.2, soft_wcec=soft_wcec)
+        assert [r.split(",")[0] for r in soft] == [r.split(",")[0] for r in hard]
+        assert all("NA" not in r.split(",") for r in soft)
+        assert soft != hard
+
+    def test_sweep_rejects_soft_eps(self, tmp_path, capsys):
+        cfg = self.experiment(tmp_path, soft_eps=0.2)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 2
+        assert "soft_eps" in capsys.readouterr().err

@@ -85,6 +85,33 @@ class TestOverheadZones:
             assert zs[-1] == zn[-1] == z[-1] == sysd.deadline
 
 
+class TestFinishTargets:
+    def test_plain_mode_matches_danger_zones(self):
+        sysd = make_system((100, 100), 1.0, pt=((0.0, 0.02), (0.02, 0.0)), st=(0.01, 0.01))
+        assert danger_zones_overhead(sysd, "plain") == danger_zones(sysd)
+
+    def test_sufficient_targets_keep_one_penalty_margin(self):
+        sysd = make_system((100, 100), 1.0, pt=((0.0, 0.02), (0.02, 0.0)), st=(0.01, 0.01))
+        zs = danger_zones_overhead(sysd, "sufficient")
+        assert zs.targets == tuple(z - 0.02 for z in zs.z[1:])
+        zn = danger_zones_overhead(sysd, "necessary")
+        assert zn.targets == zn.z[1:]
+
+    def test_zone_start_is_the_top_speed_crossing(self):
+        # a built strategy's top step reaches the zone start exactly, so
+        # the zone chain and the crossing must agree bit for bit
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            sysd = gen.realistic_feasible_system(rng, with_overheads=True)
+            for zones in (danger_zones(sysd), danger_zones_overhead(sysd, "sufficient")):
+                for i, w in enumerate(sysd.wcecs):
+                    assert zones.crossing(i, w, sysd.cpu.f_max) == zones.z[i]
+
+    def test_target_count_validated(self):
+        with pytest.raises(ValueError):
+            DangerZones((0.5, 1.0), targets=(0.9, 1.0))
+
+
 class TestLimit:
     def test_direct_value(self):
         # second of three tasks, z_3 = 0.7
