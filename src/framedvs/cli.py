@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys as _sys
 from functools import partial
 from pathlib import Path
@@ -240,14 +239,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("FRAMEDVS_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"FRAMEDVS_THREADS={threads!r} is not a positive integer", file=_sys.stderr)
-            return 2
     try:
         args = _parser().parse_args(argv)
     except SystemExit as e:

@@ -38,24 +38,17 @@ __all__ = [
 MHZ = 1e6
 
 
-def _cycles(v) -> int:
-    """A cycle count from JSON: integral numbers only, never truncated."""
-    if isinstance(v, float) and not v.is_integer():
-        raise ValueError(f"cycle count {v!r} is not an integer")
-    return int(v)
-
-
 def _dist_from_dict(d: dict, base: Path | None) -> CycleDistribution:
     kind = d.get("kind")
     if kind == "uniform":
-        return CycleDistribution.uniform(_cycles(d["lo"]), _cycles(d["hi"]))
+        return CycleDistribution.uniform(d["lo"], d["hi"])
     if kind == "histogram":
         if "histogram_file" in d:
             path = Path(d["histogram_file"])
             if base is not None and not path.is_absolute():
                 path = base / path
             return read_histogram_csv(path)
-        return CycleDistribution.histogram(_cycles(d["bin_size"]), list(d["probs"]))
+        return CycleDistribution.histogram(d["bin_size"], list(d["probs"]))
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 
@@ -81,9 +74,7 @@ def system_from_dict(d: dict, base: Path | None = None) -> FrameSystem:
     tasks = []
     for k, td in enumerate(d["tasks"]):
         dist = _dist_from_dict(td["dist"], base)
-        tasks.append(
-            TaskSpec(_cycles(td["wcec"]), dist, label=td.get("label", f"T{k + 1}"))
-        )
+        tasks.append(TaskSpec(td["wcec"], dist, label=td.get("label", f"T{k + 1}")))
     return FrameSystem(tuple(tasks), float(d["deadline_s"]), cpu)
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "StepFunction",
     "StrategySet",
     "Schedulability",
+    "as_cycles",
     "eval_step",
     "normalize_steps",
     "quantize",
@@ -44,6 +45,13 @@ class SpeedRangeError(FrameDvsError):
 
 class CapExceededError(FrameDvsError):
     """An exact computation would exceed its configured size cap."""
+
+
+def as_cycles(v) -> int:
+    """``v`` as an int cycle count; NaN, inf and fractions raise ValueError."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"cycle count {v!r} is not an integer")
+    return int(v)
 
 
 @dataclass(frozen=True)
@@ -136,6 +144,7 @@ class TaskSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "wcec", as_cycles(self.wcec))
         if self.wcec <= 0:
             raise ValueError("wcec must be a positive cycle count")
         if self.dist.support_max > self.wcec:

@@ -4,16 +4,20 @@ and the soft-deadline transform.
 Histogram semantics: bin k holds the probability of using between
 (k-1)*b cycles exclusive and k*b cycles inclusive. Samples, moments and
 percentiles use the bin's upper edge, which never understates load.
+
+Convolution is numpy-only: one FFT product on a shared integer grid,
+read back only on the exact support of the sum.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .core import CapExceededError
+from .core import CapExceededError, as_cycles
 
 if TYPE_CHECKING:
     from .core import FrameSystem
@@ -52,6 +56,8 @@ class CycleDistribution:
     values: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("lo", "hi", "bin_size"):
+            object.__setattr__(self, name, as_cycles(getattr(self, name)))
         if self.kind == "uniform":
             if self.lo <= 0 or self.hi < self.lo:
                 raise ValueError("uniform needs 0 < lo <= hi")
@@ -85,27 +91,23 @@ class CycleDistribution:
 
     @classmethod
     def uniform(cls, lo: int, hi: int) -> "CycleDistribution":
-        return cls("uniform", lo=int(lo), hi=int(hi))
+        return cls("uniform", lo=lo, hi=hi)
 
     @classmethod
     def histogram(cls, bin_size: int, probs: Sequence[float]) -> "CycleDistribution":
-        return cls(
-            "histogram",
-            bin_size=int(bin_size),
-            probs=tuple(float(p) for p in probs),
-        )
+        return cls("histogram", bin_size=bin_size, probs=tuple(float(p) for p in probs))
 
     @classmethod
     def degenerate(cls, cycles: int) -> "CycleDistribution":
         """Single-bin histogram: always exactly ``cycles``."""
-        return cls.histogram(int(cycles), (1.0,))
+        return cls.histogram(cycles, (1.0,))
 
     @classmethod
     def from_points(cls, points: dict[int, float]) -> "CycleDistribution":
         items = sorted(points.items())
         return cls(
             "points",
-            values=tuple(int(v) for v, _ in items),
+            values=tuple(as_cycles(v) for v, _ in items),
             probs=tuple(float(p) for _, p in items),
         )
 
@@ -203,20 +205,18 @@ class CycleDistribution:
         range, a uniform covers lo..hi, and adjacent coverage merges.
         Explicit atoms stay degenerate.
         """
+        return self._ranges
+
+    @cached_property
+    def _ranges(self) -> tuple[tuple[float, float], ...]:
+        # computed once per distribution: the oracle asks on every call
         if self.kind == "histogram":
             b = self.bin_size
-            ivs = [
-                (float((k - 1) * b), float(k * b))
-                for k, p in enumerate(self.probs, start=1)
-                if p > 0
-            ]
-            merged = [list(ivs[0])]
-            for lo, hi in ivs[1:]:
-                if lo <= merged[-1][1]:
-                    merged[-1][1] = hi
-                else:
-                    merged.append([lo, hi])
-            return tuple((lo, hi) for lo, hi in merged)
+            bins = np.flatnonzero(np.asarray(self.probs) > 0)  # bin k - 1
+            return tuple(
+                (float(first * b), float((last + 1) * b))
+                for first, last in _runs(bins).tolist()
+            )
         if self.kind == "uniform":
             return ((float(self.lo), float(self.hi)),)
         return tuple((float(v), float(v)) for v in self.values)
@@ -242,15 +242,21 @@ def bin_trace(raw_cycle_counts: Sequence[int], b: int) -> CycleDistribution:
     return CycleDistribution.histogram(b, probs)
 
 
-def _dense(values: np.ndarray, probs: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """(offset, stride, mass) with mass[k] = P[offset + k*stride]."""
-    if len(values) == 1:
-        return int(values[0]), 1, np.asarray(probs, dtype=np.float64)
-    stride = int(np.gcd.reduce(np.diff(values)))
-    offset = int(values[0])
-    mass = np.zeros((int(values[-1]) - offset) // stride + 1)
-    mass[(values - offset) // stride] = probs
-    return offset, stride, mass
+def _runs(idx: np.ndarray) -> np.ndarray:
+    """Maximal runs of consecutive integers in sorted ``idx`` as (first, last) rows."""
+    cut = np.flatnonzero(np.diff(idx) > 1)
+    return np.column_stack((idx[np.append(0, cut + 1)], idx[np.append(cut, -1)]))
+
+
+def _run_sum(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
+    """Runs of the Minkowski sum of two run sets; touching runs merge."""
+    if len(a) * len(b) > cap:
+        raise CapExceededError("convolution support exceeds cap")
+    pairs = (a[:, None] + b[None]).reshape(-1, 2)
+    pairs = pairs[np.argsort(pairs[:, 0])]
+    reach = np.maximum.accumulate(pairs[:, 1])
+    new = np.flatnonzero(np.append(True, pairs[1:, 0] > reach[:-1] + 1))
+    return np.column_stack((pairs[new, 0], reach[np.append(new[1:], len(pairs)) - 1]))
 
 
 def convolve(
@@ -258,38 +264,39 @@ def convolve(
 ) -> CycleDistribution:
     """Exact distribution of the sum of independent cycle demands.
 
-    Works on a dense integer grid per pair (stride = gcd of the two
-    grids); small pairs convolve directly, large ones via FFT with the
-    negligible mass noise clipped away.
+    Every task's mass lies on one integer grid whose stride is the gcd
+    of all support gaps. The product of all rfft spectra at one padded
+    length gives the sum's mass in a single irfft, which is read, clipped
+    at 0 and normalised, only on the sum's exact support: the Minkowski
+    sum of each task's runs of consecutive grid indices. Raises
+    ``CapExceededError`` when the grid or the run pairs exceed ``cap``.
     """
-    dists = list(dists)
-    if not dists:
+    atoms = [d.atoms() for d in dists]
+    if not atoms:
         raise ValueError("nothing to convolve")
-    off, stride, mass = _dense(*dists[0].atoms())
-    for d in dists[1:]:
-        off2, stride2, mass2 = _dense(*d.atoms())
-        g = math.gcd(stride, stride2)
-        n1 = (len(mass) - 1) * (stride // g) + 1
-        n2 = (len(mass2) - 1) * (stride2 // g) + 1
-        if n1 + n2 - 1 > cap:
-            raise CapExceededError("convolution support exceeds cap")
-        a = np.zeros(n1)
-        a[:: stride // g] = mass
-        b = np.zeros(n2)
-        b[:: stride2 // g] = mass2
-        if n1 * n2 <= 4_000_000:
-            mass = np.convolve(a, b)
-        else:
-            from scipy.signal import fftconvolve
-
-            mass = np.clip(fftconvolve(a, b), 0.0, None)
-            mass /= mass.sum()
-        off, stride = off + off2, g
-    keep = np.nonzero(mass > 0.0)[0]
+    stride = int(np.gcd.reduce(np.concatenate([np.diff(v) for v, _ in atoms]))) or 1
+    idx = [(v - v[0]) // stride for v, _ in atoms]
+    size = sum(int(k[-1]) for k in idx) + 1
+    if size > cap:
+        raise CapExceededError("convolution support exceeds cap")
+    # FFT length: the smallest 2**a * 3**i * 5**j >= size, which numpy runs fast
+    odd = [3**i * 5**j for i in range(16) for j in range(11)]
+    n = min(m << ((size - 1) // m).bit_length() for m in odd)
+    spectrum = np.ones(n // 2 + 1, dtype=np.complex128)
+    runs = np.zeros((1, 2), dtype=np.int64)
+    for k, (_, p) in zip(idx, atoms):
+        spectrum *= np.fft.rfft(np.bincount(k, p), n)
+        runs = _run_sum(runs, _runs(k), cap)
+    lengths = runs[:, 1] - runs[:, 0] + 1
+    support = np.repeat(runs[:, 0] - np.cumsum(lengths) + lengths, lengths)
+    support += np.arange(len(support))
+    mass = np.clip(np.fft.irfft(spectrum, n)[support], 0.0, None)
+    mass /= mass.sum()
+    offset = sum(int(v[0]) for v, _ in atoms)
     return CycleDistribution(
         "points",
-        values=tuple(int(off + k * stride) for k in keep),
-        probs=tuple(float(mass[k]) for k in keep),
+        values=tuple((offset + stride * support).tolist()),
+        probs=tuple(mass.tolist()),
     )
 
 

@@ -209,10 +209,6 @@ class TestOtherCommands:
         assert not fast_report["worst_case_miss"]
         assert main(["oracle", "--system", str(sys_file), "--strategy", str(slow)]) == 1
 
-    def test_threads_env_validated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FRAMEDVS_THREADS", "zero")
-        assert main(["soft-deadline", "--system", "x", "--eps", "0.1"]) == 2
-
 
 def _set(path, value):
     """System-dict patch that sets the entry at ``path`` to ``value``."""

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,26 @@ class TestTaskSpec:
     def test_wcec_may_exceed_support(self):
         t = TaskSpec(200, CycleDistribution.uniform(1, 100))
         assert t.wcec == 200
+
+
+CYCLE_FIELDS = {
+    "wcec": lambda v: TaskSpec(v, CycleDistribution.uniform(1, 2)).wcec,
+    "uniform-lo": lambda v: CycleDistribution.uniform(v, 40).lo,
+    "uniform-hi": lambda v: CycleDistribution.uniform(1, v).hi,
+    "bin-size": lambda v: CycleDistribution.histogram(v, (0.5, 0.5)).bin_size,
+    "degenerate": lambda v: CycleDistribution.degenerate(v).support_max,
+    "point": lambda v: CycleDistribution.from_points({v: 1.0}).support_max,
+}
+
+
+@pytest.mark.parametrize("field", sorted(CYCLE_FIELDS))
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 3.9, 7.0, np.float64(7.0), np.int64(7)])
+def test_cycle_counts_are_integral(field, value):
+    """Integral counts are stored as int; NaN, inf and fractions raise."""
+    make = CYCLE_FIELDS[field]
+    if math.isfinite(value) and float(value).is_integer():
+        got = make(value)
+        assert got == 7 and type(got) is int
+    else:
+        with pytest.raises(ValueError):
+            make(value)

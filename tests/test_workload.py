@@ -1,11 +1,28 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from framedvs import CycleDistribution, bin_trace, convolve, soft_deadline
 from framedvs.core import CapExceededError, FrameSystem, FrequencyTable, TaskSpec
+
+
+def end_bins(n_bins):
+    """One-cycle bins with half the mass in each end bin: atoms 1 and n_bins."""
+    return CycleDistribution.histogram(1, [0.5] + [0.0] * (n_bins - 2) + [0.5])
+
+
+def brute_force(dists):
+    """Sum distribution by enumerating every combination of atoms."""
+    expect: dict[int, float] = {}
+    supports = [list(zip(*d.atoms())) for d in dists]
+    for combo in itertools.product(*supports):
+        s = sum(int(v) for v, _ in combo)
+        pr = math.prod(float(p) for _, p in combo)
+        expect[s] = expect.get(s, 0.0) + pr
+    return expect
 
 
 def system_of(dists, deadline=1.0, f=(150.0, 1000.0)):
@@ -104,6 +121,7 @@ class TestConvolve:
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(12)
+        cases = []
         for _ in range(20):
             dists = []
             for _ in range(int(rng.integers(2, 4))):
@@ -116,14 +134,34 @@ class TestConvolve:
                         {v: float(x) for v, x in zip(vals, p)}
                     )
                 )
+            cases.append(dists)
+        # sparse histograms whose bin counts multiply past 4M
+        sparse = np.random.default_rng(13)
+        for _ in range(6):
+            dists = []
+            for _ in range(int(sparse.integers(2, 4))):
+                n_bins = int(sparse.integers(2100, 3000))
+                probs = np.zeros(n_bins)
+                nonzero = sparse.choice(n_bins - 1, int(sparse.integers(1, 6)), replace=False)
+                probs[np.append(nonzero, n_bins - 1)] = sparse.uniform(0.1, 1, len(nonzero) + 1)
+                dists.append(CycleDistribution.histogram(int(sparse.integers(1, 4)), probs / probs.sum()))
+            cases.append(dists)
+        for dists in cases:
             got = convolve(dists)
-            expect: dict[int, float] = {}
-            supports = [list(zip(*d.atoms())) for d in dists]
-            for combo in itertools.product(*supports):
-                s = sum(int(v) for v, _ in combo)
-                pr = math.prod(float(p) for _, p in combo)
-                expect[s] = expect.get(s, 0.0) + pr
-            assert dict(zip(got.values, got.probs)) == pytest.approx(expect, abs=1e-12)
+            assert dict(zip(got.values, got.probs)) == pytest.approx(brute_force(dists), abs=1e-12)
+
+    def test_end_bins_keep_exact_support(self):
+        c = convolve([end_bins(3000), end_bins(2000)])
+        assert c.values == (2, 2001, 3001, 5000)
+        assert c.probs == pytest.approx((0.25,) * 4, abs=1e-12)
+
+    def test_numpy_only(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.signal", None)
+        u = CycleDistribution.uniform(1, 3000)
+        c = convolve([u, u])
+        assert c.values == tuple(range(2, 6001))
+        assert c.mean() == pytest.approx(2 * u.mean(), rel=1e-12)
 
     def test_order_invariant(self):
         a = CycleDistribution.uniform(1, 5)
@@ -144,6 +182,13 @@ class TestConvolve:
         a = CycleDistribution.uniform(1, 100_000)
         with pytest.raises(CapExceededError):
             convolve([a, a], cap=1000)
+
+    def test_cap_counts_run_pairs(self):
+        # 50 separate runs on a 500-point grid: 2500 run pairs, 999 grid points
+        a = CycleDistribution.from_points({v: 1 / 51 for v in [1, 2] + list(range(20, 510, 10))})
+        assert len(convolve([a, a], cap=2500).values) > 51
+        with pytest.raises(CapExceededError):
+            convolve([a, a], cap=2499)
 
 
 class TestRanges:
@@ -198,6 +243,11 @@ class TestSoftDeadline:
             assert all(k <= t.wcec for k, t in zip(r.kappa, sys0.tasks))
             assert r.frame_percentile <= r.frame_wcec
             assert r.adjusted_deadline >= sys0.deadline
+
+    def test_end_bins_percentile_on_support(self):
+        r = soft_deadline(system_of([end_bins(3000), end_bins(2000)]), 0.6)
+        # sum is 2, 2001, 3001, 5000 with 1/4 each: P[sum < 3001] = .5 > .4
+        assert r.frame_percentile == 3001
 
     def test_eps_validated(self):
         sys0 = system_of([CycleDistribution.uniform(1, 4)])
