@@ -59,7 +59,7 @@ def _dist_to_dict(dist: CycleDistribution) -> dict:
         return {
             "kind": "histogram",
             "bin_size": dist.bin_size,
-            "probs": list(dist.probs),
+            "probs": dist.probs.tolist(),
         }
     raise ValueError("only uniform and histogram distributions serialize to config")
 
@@ -267,7 +267,7 @@ def write_histogram_csv(dist: CycleDistribution, path: str | Path) -> None:
     if dist.kind != "histogram":
         raise ValueError("only histogram distributions have a CSV form")
     lines = ["bin_upper_cycles,probability"]
-    for k, p in enumerate(dist.probs, start=1):
+    for k, p in enumerate(dist.probs.tolist(), start=1):
         lines.append(f"{k * dist.bin_size},{p!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 

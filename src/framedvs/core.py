@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 __all__ = [
     "FrameDvsError",
     "InfeasibleSystemError",
@@ -23,6 +25,7 @@ __all__ = [
     "StepFunction",
     "StrategySet",
     "Schedulability",
+    "as_cycle_array",
     "as_cycles",
     "eval_step",
     "normalize_steps",
@@ -52,6 +55,14 @@ def as_cycles(v) -> int:
     if isinstance(v, float) and not v.is_integer():
         raise ValueError(f"cycle count {v!r} is not an integer")
     return int(v)
+
+
+def as_cycle_array(counts) -> np.ndarray:
+    """An int64 copy of ``counts`` under the ``as_cycles`` rule."""
+    v = np.asarray(counts)
+    if v.size and v.dtype.kind not in "iu" and not (np.isfinite(v) & (v == np.round(v))).all():
+        raise ValueError("cycle counts must be integers")
+    return v.astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -33,14 +33,11 @@ class DangerZones:
     """
 
     z: tuple[float, ...]
-    mode: str = "plain"
     targets: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         z = tuple(float(v) for v in self.z)
         object.__setattr__(self, "z", z)
-        if self.mode not in ("plain", "necessary", "sufficient"):
-            raise ValueError(f"unknown zone mode {self.mode!r}")
         targets = z[1:] if self.targets is None else tuple(float(v) for v in self.targets)
         if len(targets) != len(z) - 1:
             raise ValueError("need one finish target per task")
@@ -130,7 +127,7 @@ def danger_zones_overhead(sys: FrameSystem, mode: str) -> DangerZones:
         raise ValueError(f"unknown overhead mode {mode!r}")
     z = _zones_from_wcecs(sys.wcecs, sys.deadline, sys.cpu.f_max, per_switch)
     targets = tuple(zk - per_switch for zk in z[1:]) if mode == "sufficient" else None
-    return DangerZones(tuple(z), mode, targets)
+    return DangerZones(tuple(z), targets)
 
 
 def limit(sys: FrameSystem, zones: DangerZones, i: int, t: float) -> float:

@@ -1,5 +1,6 @@
 """Cycle distributions: construction, sampling, moments, convolution,
-and the soft-deadline transform.
+and the soft-deadline transform. Atoms are read-only numpy arrays,
+validated once on construction; uniform atoms are built on demand.
 
 Histogram semantics: bin k holds the probability of using between
 (k-1)*b cycles exclusive and k*b cycles inclusive. Samples, moments and
@@ -11,13 +12,13 @@ read back only on the exact support of the sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .core import CapExceededError, as_cycles
+from .core import CapExceededError, as_cycle_array, as_cycles
 
 if TYPE_CHECKING:
     from .core import FrameSystem
@@ -38,54 +39,62 @@ _CDF_GRACE = 1e-9
 CONVOLVE_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CycleDistribution:
     """Discrete distribution of a task's cycle demand.
 
     kind="uniform": integers lo..hi, equally likely. kind="histogram":
     bins of ``bin_size`` cycles with ``probs[k-1]`` the mass of bin k;
     draws and moments land on bin upper edges. kind="points": explicit
-    atoms (convolution results, truncations).
+    atoms (convolution results, truncations). ``values`` (int64) and
+    ``probs`` (float64) are read-only copies of the arguments.
     """
 
     kind: str
     lo: int = 0
     hi: int = 0
     bin_size: int = 0
-    probs: tuple[float, ...] = ()
-    values: tuple[int, ...] = ()
+    probs: np.ndarray = ()
+    values: np.ndarray = ()
 
     def __post_init__(self) -> None:
         for name in ("lo", "hi", "bin_size"):
             object.__setattr__(self, name, as_cycles(getattr(self, name)))
+        values = as_cycle_array(self.values)
+        probs = np.array(self.probs, dtype=np.float64)
+        for name, arr in (("values", values), ("probs", probs)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if self.kind == "uniform":
             if self.lo <= 0 or self.hi < self.lo:
                 raise ValueError("uniform needs 0 < lo <= hi")
-        elif self.kind == "histogram":
+            return
+        if self.kind == "histogram":
             if self.bin_size <= 0:
                 raise ValueError("bin size must be positive")
-            self._validate_probs(self.probs)
-            if not any(p > 0 for p in self.probs):
-                raise ValueError("all bins empty")
         elif self.kind == "points":
-            if not self.values:
+            if not len(values):
                 raise ValueError("empty support")
-            if len(self.values) != len(self.probs):
+            if len(values) != len(probs):
                 raise ValueError("values and probs lengths differ")
-            if any(a >= b for a, b in zip(self.values, self.values[1:])):
+            if (np.diff(values) <= 0).any():
                 raise ValueError("support must be strictly increasing")
-            if self.values[0] <= 0:
+            if values[0] <= 0:
                 raise ValueError("cycle counts must be positive")
-            self._validate_probs(self.probs)
         else:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-
-    @staticmethod
-    def _validate_probs(probs) -> None:
-        if not all(p >= 0 for p in probs):  # also rejects NaN; inf fails the sum
+        if not (probs >= 0).all():  # also rejects NaN; inf fails the sum
             raise ValueError("probabilities must be nonnegative")
         if abs(math.fsum(probs) - 1.0) > _PROB_TOL:
             raise ValueError("probabilities must sum to 1")
+
+    def __eq__(self, other: object) -> bool:  # field by field, atom arrays elementwise
+        return isinstance(other, CycleDistribution) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.lo, self.hi, self.bin_size))
 
     # -- constructors ---------------------------------------------------
 
@@ -95,7 +104,7 @@ class CycleDistribution:
 
     @classmethod
     def histogram(cls, bin_size: int, probs: Sequence[float]) -> "CycleDistribution":
-        return cls("histogram", bin_size=bin_size, probs=tuple(float(p) for p in probs))
+        return cls("histogram", bin_size=bin_size, probs=probs)
 
     @classmethod
     def degenerate(cls, cycles: int) -> "CycleDistribution":
@@ -105,11 +114,7 @@ class CycleDistribution:
     @classmethod
     def from_points(cls, points: dict[int, float]) -> "CycleDistribution":
         items = sorted(points.items())
-        return cls(
-            "points",
-            values=tuple(as_cycles(v) for v, _ in items),
-            probs=tuple(float(p) for _, p in items),
-        )
+        return cls("points", values=[v for v, _ in items], probs=[p for _, p in items])
 
     # -- queries ---------------------------------------------------------
 
@@ -117,20 +122,15 @@ class CycleDistribution:
     def support_max(self) -> int:
         if self.kind == "uniform":
             return self.hi
-        if self.kind == "histogram":
-            top = max(k for k, p in enumerate(self.probs, start=1) if p > 0)
-            return top * self.bin_size
-        return self.values[-1]
+        return int(self.atoms()[0][-1])
 
     def n_atoms(self) -> int:
         if self.kind == "uniform":
             return self.hi - self.lo + 1
-        if self.kind == "histogram":
-            return sum(1 for p in self.probs if p > 0)
-        return len(self.values)
+        return len(self.atoms()[0])
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Support values and probabilities as arrays."""
+        """Support values and masses; histograms drop empty bins, uniforms build anew."""
         if self.kind == "uniform":
             n = self.hi - self.lo + 1
             return (
@@ -138,10 +138,9 @@ class CycleDistribution:
                 np.full(n, 1.0 / n),
             )
         if self.kind == "histogram":
-            vals = [k * self.bin_size for k, p in enumerate(self.probs, start=1) if p > 0]
-            mass = [p for p in self.probs if p > 0]
-            return np.asarray(vals, dtype=np.int64), np.asarray(mass)
-        return np.asarray(self.values, dtype=np.int64), np.asarray(self.probs)
+            k = (self.probs > 0).nonzero()[0]  # bin k + 1
+            return (k + 1) * self.bin_size, self.probs[k]
+        return self.values, self.probs
 
     def mean(self) -> float:
         """Exact expectation over the mass function."""
@@ -185,17 +184,17 @@ class CycleDistribution:
         Used when a percentile stands in as the worst case: the tail
         beyond it is treated as if it stopped there.
         """
-        cap = int(cap)
+        cap = as_cycles(cap)
         if cap >= self.support_max:
             return self
         vals, mass = self.atoms()
-        if cap < int(vals[0]):
+        if cap < vals[0]:
             raise ValueError("cap below the smallest support value")
-        points: dict[int, float] = {}
-        for v, p in zip(vals, mass):
-            key = min(int(v), cap)
-            points[key] = points.get(key, 0.0) + float(p)
-        return CycleDistribution.from_points(points)
+        k = int(np.searchsorted(vals, cap))  # atoms below cap keep their mass
+        tail = np.cumsum(mass[k:])[-1]  # sequential sum, not np.sum's pairwise order
+        return CycleDistribution(
+            "points", values=np.append(vals[:k], cap), probs=np.append(mass[:k], tail)
+        )
 
     def ranges(self) -> tuple[tuple[float, float], ...]:
         """Closed cycle-demand intervals covered by the distribution.
@@ -212,7 +211,7 @@ class CycleDistribution:
         # computed once per distribution: the oracle asks on every call
         if self.kind == "histogram":
             b = self.bin_size
-            bins = np.flatnonzero(np.asarray(self.probs) > 0)  # bin k - 1
+            bins = np.flatnonzero(self.probs > 0)  # bin k - 1
             return tuple(
                 (float(first * b), float((last + 1) * b))
                 for first, last in _runs(bins).tolist()
@@ -226,20 +225,14 @@ def bin_trace(raw_cycle_counts: Sequence[int], b: int) -> CycleDistribution:
     """Group observed cycle counts into fixed-size bins."""
     if len(raw_cycle_counts) == 0:
         raise ValueError("empty trace")
-    b = int(b)
+    b = as_cycles(b)
     if b <= 0:
         raise ValueError("bin size must be positive")
-    counts: dict[int, int] = {}
-    for c in raw_cycle_counts:
-        c = int(c)
-        if c <= 0:
-            raise ValueError("cycle counts must be positive")
-        k = -(-c // b)  # ceil division: c lands in ((k-1)b, kb]
-        counts[k] = counts.get(k, 0) + 1
-    kmax = max(counts)
-    total = len(raw_cycle_counts)
-    probs = [counts.get(k, 0) / total for k in range(1, kmax + 1)]
-    return CycleDistribution.histogram(b, probs)
+    c = as_cycle_array(raw_cycle_counts)
+    if (c <= 0).any():
+        raise ValueError("cycle counts must be positive")
+    # ceil division: c lands in bin k, which covers ((k-1)b, kb]
+    return CycleDistribution.histogram(b, np.bincount(-(-c // b))[1:] / len(c))
 
 
 def _runs(idx: np.ndarray) -> np.ndarray:
@@ -271,9 +264,13 @@ def convolve(
     sum of each task's runs of consecutive grid indices. Raises
     ``CapExceededError`` when the grid or the run pairs exceed ``cap``.
     """
-    atoms = [d.atoms() for d in dists]
-    if not atoms:
+    dists = list(dists)
+    if not dists:
         raise ValueError("nothing to convolve")
+    # a lower bound on the grid, checked before any atom is built
+    if sum(d.n_atoms() - 1 for d in dists) + 1 > cap:
+        raise CapExceededError("convolution support exceeds cap")
+    atoms = [d.atoms() for d in dists]
     stride = int(np.gcd.reduce(np.concatenate([np.diff(v) for v, _ in atoms]))) or 1
     idx = [(v - v[0]) // stride for v, _ in atoms]
     size = sum(int(k[-1]) for k in idx) + 1
@@ -293,11 +290,7 @@ def convolve(
     mass = np.clip(np.fft.irfft(spectrum, n)[support], 0.0, None)
     mass /= mass.sum()
     offset = sum(int(v[0]) for v, _ in atoms)
-    return CycleDistribution(
-        "points",
-        values=tuple((offset + stride * support).tolist()),
-        probs=tuple(mass.tolist()),
-    )
+    return CycleDistribution("points", values=offset + stride * support, probs=mass)
 
 
 @dataclass(frozen=True)
@@ -323,10 +316,8 @@ def soft_deadline(sys: "FrameSystem", eps: float) -> SoftDeadlineResult:
     kappa = tuple(t.dist.percentile(eps) for t in sys.tasks)
     frame_wcec = sum(sys.wcecs)
     conv = convolve(t.dist for t in sys.tasks)
-    cum = np.cumsum(conv.probs)
-    cdf_below = np.concatenate(([0.0], cum[:-1]))  # P[total < c] per support c
-    hits = np.nonzero(cdf_below > 1.0 - eps + _CDF_GRACE)[0]
-    idx = int(hits[0]) if len(hits) else len(conv.values) - 1
-    frame_percentile = conv.values[idx]
+    # cdf[k] > 1 - eps first at k, so P[total < values[k + 1]] > 1 - eps
+    k = int(np.searchsorted(np.cumsum(conv.probs), 1.0 - eps + _CDF_GRACE, side="right"))
+    frame_percentile = int(conv.values[min(k + 1, len(conv.values) - 1)])
     adjusted = sys.deadline * frame_wcec / frame_percentile
     return SoftDeadlineResult(kappa, frame_wcec, frame_percentile, adjusted)

@@ -77,7 +77,7 @@ class TestConfigRoundTrip:
         write_histogram_csv(d, path)
         back = read_histogram_csv(path)
         assert back.bin_size == 250
-        assert back.probs == d.probs
+        assert back.probs.tolist() == d.probs.tolist()
 
     def test_histogram_file_reference(self, tmp_path):
         d = CycleDistribution.histogram(100, (0.5, 0.5))

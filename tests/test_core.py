@@ -14,7 +14,7 @@ from framedvs import (
     validate_system,
 )
 from framedvs.core import FrameSystem, TaskSpec
-from framedvs.workload import CycleDistribution
+from framedvs.workload import CycleDistribution, bin_trace
 
 XSCALE = FrequencyTable(
     (150e6, 400e6, 600e6, 800e6, 1000e6), (0.08, 0.27, 0.54, 0.99, 1.78)
@@ -181,6 +181,10 @@ CYCLE_FIELDS = {
     "bin-size": lambda v: CycleDistribution.histogram(v, (0.5, 0.5)).bin_size,
     "degenerate": lambda v: CycleDistribution.degenerate(v).support_max,
     "point": lambda v: CycleDistribution.from_points({v: 1.0}).support_max,
+    "bin-trace-count": lambda v: bin_trace([v], 1).support_max,
+    "bin-trace-size": lambda v: bin_trace([10, 20], v).bin_size,
+    "truncated-cap": lambda v: CycleDistribution.uniform(1, 10).truncated(v).support_max,
+    "points-direct": lambda v: CycleDistribution("points", values=(v,), probs=(1.0,)).support_max,
 }
 
 

@@ -215,7 +215,7 @@ class TestSufficientModeSoundness:
         sysd = self.example()
         zs = danger_zones_overhead(sysd, "sufficient")
         # same zone values but with plain-mode (marginless) evaluation
-        literal = DangerZones(zs.z, mode="plain")
+        literal = DangerZones(zs.z)
         strat = build_limit(sysd, literal)
         assert check(sysd, strat, literal).schedulable
         result = run_frame(sysd, strat, (100, 100), overheads=True)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,11 +83,40 @@ class TestMoments:
                 d.percentile(bad)
 
 
+class TestArrayAtoms:
+    def test_atoms_are_read_only_arrays(self):
+        d = CycleDistribution.histogram(10, (0.5, 0.5))
+        with pytest.raises(ValueError):
+            d.probs[0] = 1.0
+        c = convolve([d, CycleDistribution.uniform(1, 3)])
+        assert type(c.values) is np.ndarray and c.values.dtype == np.int64
+        assert c.probs.dtype == np.float64
+        with pytest.raises(ValueError):
+            c.values[0] = 1
+
+    def test_constructor_copies_caller_arrays(self):
+        probs = np.array([0.5, 0.5])
+        values = np.array([3, 9])
+        h = CycleDistribution.histogram(10, probs)
+        p = CycleDistribution("points", values=values, probs=probs)
+        probs[0], values[0] = 0.9, 1
+        assert h.probs.tolist() == p.probs.tolist() == [0.5, 0.5]
+        assert p.values.tolist() == [3, 9]
+
+    def test_equal_by_value(self):
+        a = CycleDistribution.histogram(10, (0.5, 0.5))
+        b = CycleDistribution.histogram(10, np.array([0.5, 0.5]))
+        assert a == b and hash(a) == hash(b)
+        assert a != CycleDistribution.histogram(10, (0.25, 0.75))
+        assert a != CycleDistribution.histogram(20, (0.5, 0.5))
+        assert a != "histogram"
+
+
 class TestBinTrace:
     def test_basic(self):
         d = bin_trace([100, 100, 200], 100)
         assert d.bin_size == 100
-        assert d.probs == (2 / 3, 1 / 3)
+        assert d.probs.tolist() == [2 / 3, 1 / 3]
 
     def test_single_sample(self):
         d = bin_trace([1], 100)
@@ -101,6 +131,17 @@ class TestBinTrace:
         with pytest.raises(ValueError):
             bin_trace([], 10)
 
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            raw = rng.integers(1, 400, int(rng.integers(1, 60))).tolist()
+            b = int(rng.integers(1, 50))
+            counts: dict[int, int] = {}
+            for c in raw:
+                counts[-(-c // b)] = counts.get(-(-c // b), 0) + 1
+            expect = [counts.get(k, 0) / len(raw) for k in range(1, max(counts) + 1)]
+            assert bin_trace(raw, b).probs.tolist() == expect
+
 
 class TestConvolve:
     def test_two_uniforms(self):
@@ -111,7 +152,7 @@ class TestConvolve:
     def test_degenerate_shifts_support(self):
         u = CycleDistribution.uniform(1, 3)
         c = convolve([u, CycleDistribution.degenerate(10)])
-        assert c.values == (11, 12, 13)
+        assert c.values.tolist() == [11, 12, 13]
         assert c.probs == pytest.approx(u.atoms()[1].tolist())
 
     def test_all_degenerate_single_mass(self):
@@ -152,7 +193,7 @@ class TestConvolve:
 
     def test_end_bins_keep_exact_support(self):
         c = convolve([end_bins(3000), end_bins(2000)])
-        assert c.values == (2, 2001, 3001, 5000)
+        assert c.values.tolist() == [2, 2001, 3001, 5000]
         assert c.probs == pytest.approx((0.25,) * 4, abs=1e-12)
 
     def test_numpy_only(self, monkeypatch):
@@ -160,7 +201,7 @@ class TestConvolve:
         monkeypatch.setitem(sys.modules, "scipy.signal", None)
         u = CycleDistribution.uniform(1, 3000)
         c = convolve([u, u])
-        assert c.values == tuple(range(2, 6001))
+        assert c.values.tolist() == list(range(2, 6001))
         assert c.mean() == pytest.approx(2 * u.mean(), rel=1e-12)
 
     def test_order_invariant(self):
@@ -169,7 +210,7 @@ class TestConvolve:
         c = CycleDistribution.degenerate(7)
         x = convolve([a, b, c])
         y = convolve([c, a, b])
-        assert x.values == y.values
+        assert x.values.tolist() == y.values.tolist()
         assert x.probs == pytest.approx(y.probs, abs=1e-12)
 
     def test_mean_additivity(self):
@@ -182,6 +223,17 @@ class TestConvolve:
         a = CycleDistribution.uniform(1, 100_000)
         with pytest.raises(CapExceededError):
             convolve([a, a], cap=1000)
+
+    def test_cap_checked_before_atoms_are_built(self):
+        a = CycleDistribution.uniform(1, 5_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                convolve([a, a], cap=1_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_cap_counts_run_pairs(self):
         # 50 separate runs on a 500-point grid: 2500 run pairs, 999 grid points
@@ -213,6 +265,23 @@ class TestTruncated:
         d = CycleDistribution.from_points({10: 0.5, 20: 0.3, 30: 0.2})
         t = d.truncated(20)
         assert dict(zip(t.values, t.probs)) == pytest.approx({10: 0.5, 20: 0.5})
+
+    def test_matches_loop_reference(self):
+        """Bit for bit the same as summing the clamped tail one atom at a time."""
+        rng = np.random.default_rng(4)
+        dists = [CycleDistribution.uniform(3, 90), CycleDistribution.histogram(7, rng.dirichlet(np.ones(30)))]
+        for _ in range(10):
+            vals = np.unique(rng.integers(1, 500, 40))
+            dists.append(CycleDistribution("points", values=vals, probs=rng.dirichlet(np.ones(len(vals)))))
+        for d in dists:
+            vals, mass = d.atoms()
+            for cap in rng.integers(vals[0], vals[-1], 5).tolist():
+                expect: dict[int, float] = {}
+                for v, p in zip(vals.tolist(), mass.tolist()):
+                    expect[min(v, cap)] = expect.get(min(v, cap), 0.0) + p
+                t = d.truncated(cap)
+                assert t.values.tolist() == list(expect)
+                assert t.probs.tolist() == list(expect.values())
 
     def test_noop_above_max(self):
         d = CycleDistribution.uniform(1, 10)
