@@ -52,9 +52,13 @@ class CapExceededError(FrameDvsError):
 
 def as_cycles(v) -> int:
     """``v`` as an int cycle count; NaN, inf and fractions raise ValueError."""
-    if isinstance(v, float) and not v.is_integer():
+    try:
+        n = int(v)
+    except OverflowError:  # int(inf); int(nan) raises ValueError itself
+        raise ValueError(f"cycle count {v!r} is not an integer") from None
+    if n != v:
         raise ValueError(f"cycle count {v!r} is not an integer")
-    return int(v)
+    return n
 
 
 def as_cycle_array(counts) -> np.ndarray:

@@ -92,38 +92,49 @@ def run_frames(
 ):
     """Execute many frames at once.
 
-    ``cycles`` has one row per frame and one column per task. Returns
-    (finish_times, energy, switch_time, frequency_changes, missed) arrays.
+    ``cycles`` has one row per frame and one column per task; a
+    column-major matrix (as ``sample_cycles`` returns) reads each task's
+    column contiguously. Returns (finish_times, energy, switch_time,
+    frequency_changes, missed) arrays; ``finish_times`` is column-major.
+    A task's step lookup costs one comparison per step of its function.
     """
     prep = _Prepared(sys, strategy)
     cycles = np.asarray(cycles, dtype=np.float64)
     if cycles.ndim != 2 or cycles.shape[1] != sys.n_tasks:
         raise ValueError("cycles must be (frames, tasks)")
     n = cycles.shape[0]
+    m = len(prep.freqs)
+    # switch cost of prev -> fi at [prev * m + fi]: same-speed time on the diagonal
+    cost_of = np.where(np.eye(m, dtype=bool), prep.st, prep.pt).ravel()
     t = np.zeros(n)
     energy = np.zeros(n)
     switch = np.zeros(n)
     changes = np.zeros(n, dtype=np.int64)
-    finish = np.empty((n, sys.n_tasks))
+    finish = np.empty((n, sys.n_tasks), order="F")
+    k = np.empty(n, dtype=np.int64)
+    exec_t = np.empty(n)
     prev_idx = None
     for i in range(sys.n_tasks):
         times, fidx = prep.steps[i]
-        k = np.searchsorted(times, t, side="right") - 1
+        # index of the last step time <= t, as searchsorted(side="right") - 1
+        # gives: times[0] == 0 and the times increase, so count those above t
+        # (a tie takes the later step; a NaN start, sorted last, the last one)
+        k.fill(len(times) - 1)
+        for x in times[1:]:
+            k -= t < x
         fi = fidx[k]
-        if overheads and prev_idx is not None:
-            changed = fi != prev_idx
-            cost = np.where(changed, prep.pt[prev_idx, fi], prep.st[fi])
-            t = t + cost
-            switch += cost
-            changes += changed
-        elif prev_idx is not None:
+        if prev_idx is not None:
             changes += fi != prev_idx
-        exec_t = cycles[:, i] / prep.freqs[fi]
-        energy = energy + prep.power[fi] * exec_t
-        t = t + exec_t
+            if overheads:
+                cost = cost_of[prev_idx * m + fi]
+                t += cost
+                switch += cost
+        np.divide(cycles[:, i], prep.freqs[fi], out=exec_t)
+        energy += prep.power[fi] * exec_t
+        t += exec_t
         finish[:, i] = t
         prev_idx = fi
-    missed = finish[:, -1] > prep.deadline
+    missed = t > prep.deadline
     return finish, energy, switch, changes, missed
 
 
@@ -152,10 +163,38 @@ def run_frame(
     )
 
 
+def _exact_sum(a: np.ndarray) -> float:
+    """``math.fsum(a)`` without boxing each element; ``a`` is float64.
+
+    Every finite value is q * 2**(e - 53) with q a 53-bit integer. q is
+    split into three 18-bit limbs (the top one signed), and each limb is
+    summed per exponent by ``np.bincount``. Those float64 sums are exact,
+    because every partial sum is an integer below n * 2**18 < 2**53 for
+    n < 2**35. Python ints combine them exactly and one int/int division
+    rounds once, so the result is the correctly rounded sum, which is
+    unique: the same bits as ``math.fsum``.
+    """
+    if not np.isfinite(a).all():
+        return math.fsum(a)
+    mant, exp = np.frexp(a)
+    q = (mant * 2.0**53).astype(np.int64)
+    e0 = int(exp.min(initial=0))  # <= 0; an empty array sums to 0.0
+    exp = exp.astype(np.intp) - e0  # bincount casts any other index type per call
+    high = np.bincount(exp, q >> 36).tolist()
+    mid = np.bincount(exp, q >> 18 & 0x3FFFF).tolist()
+    low = np.bincount(exp, q & 0x3FFFF).tolist()
+    total = sum(
+        ((int(h) << 36) + (int(m) << 18) + int(lo)) << j
+        for j, (h, m, lo) in enumerate(zip(high, mid, low))
+    )
+    return total / (1 << (53 - e0))  # the sum is total * 2**(e0 - 53)
+
+
 def _stats(energy, switch, changes, missed) -> SimStats:
-    # fsum keeps the mean of identical frames exactly equal to one frame
+    # a correctly rounded sum keeps the mean of identical frames exactly equal
+    # to one frame; _exact_sum gives it without boxing every element
     n = len(energy)
-    mean = math.fsum(energy) / n
+    mean = _exact_sum(energy) / n
     if n > 1:
         d = energy - mean
         stderr = math.sqrt(float(np.dot(d, d)) / (n - 1)) / math.sqrt(n)
@@ -167,14 +206,16 @@ def _stats(energy, switch, changes, missed) -> SimStats:
         energy_stderr=stderr,
         miss_rate=int(np.count_nonzero(missed)) / n,
         mean_frequency_changes=int(np.sum(changes)) / n,
-        mean_switch_time=math.fsum(switch) / n,
+        mean_switch_time=_exact_sum(switch) / n,
     )
 
 
 def sample_cycles(sys: FrameSystem, rng: np.random.Generator, n_frames: int) -> np.ndarray:
-    """Draw an (n_frames, tasks) cycle matrix, column by column."""
-    cols = [task.dist.sample_array(rng, n_frames) for task in sys.tasks]
-    return np.column_stack(cols).astype(np.float64)
+    """Draw a column-major (n_frames, tasks) float64 cycle matrix, column by column."""
+    cycles = np.empty((n_frames, sys.n_tasks), order="F")
+    for i, task in enumerate(sys.tasks):
+        cycles[:, i] = task.dist.sample_array(rng, n_frames)
+    return cycles
 
 
 def monte_carlo(
@@ -282,8 +323,8 @@ def evaluate(
         except InfeasibleSystemError:
             out[name] = None
             continue
-        _, energy, switch, changes, missed = run_frames(sys, strat, cycles, overheads)
-        out[name] = _stats(energy, switch, changes, missed)
+        # no loop variable keeps this run's arrays alive through the next one
+        out[name] = _stats(*run_frames(sys, strat, cycles, overheads)[1:])
     return out
 
 

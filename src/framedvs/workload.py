@@ -96,6 +96,9 @@ class CycleDistribution:
     def __hash__(self) -> int:
         return hash((self.kind, self.lo, self.hi, self.bin_size))
 
+    def __reduce__(self):  # copies go back through __post_init__, so atoms stay read-only
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
     # -- constructors ---------------------------------------------------
 
     @classmethod

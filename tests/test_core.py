@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -194,6 +196,27 @@ def test_cycle_counts_are_integral(field, value):
     """Integral counts are stored as int; NaN, inf and fractions raise."""
     make = CYCLE_FIELDS[field]
     if math.isfinite(value) and float(value).is_integer():
+        got = make(value)
+        assert got == 7 and type(got) is int
+    else:
+        with pytest.raises(ValueError):
+            make(value)
+
+
+SCALAR_CYCLE_FIELDS = ("wcec", "uniform-lo", "uniform-hi", "bin-size", "degenerate",
+                       "bin-trace-size", "truncated-cap")
+
+
+@pytest.mark.parametrize("field", SCALAR_CYCLE_FIELDS)
+@pytest.mark.parametrize(
+    "value",
+    [np.float32(2.5), Fraction(5, 2), Decimal("2.5"), np.float32("inf"), Fraction(7, 1), np.float32(7.0)],
+    ids=["f32-2.5", "fraction-2.5", "decimal-2.5", "f32-inf", "fraction-7", "f32-7"],
+)
+def test_scalar_cycle_counts_of_any_number_type(field, value):
+    """The integral check holds for numbers that are not Python floats."""
+    make = CYCLE_FIELDS[field]
+    if value == 7:
         got = make(value)
         assert got == 7 and type(got) is int
     else:

@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,8 @@ from framedvs import (
     run_frames,
     sweep_deadlines,
 )
+from framedvs.config import load_system
+from framedvs.simulator import _exact_sum, evaluate, sample_cycles
 
 import gen
 
@@ -141,6 +147,122 @@ class TestBatchAgainstScalarReplay:
             + cpu.power[cpu.index_of(f2)] * (400 / f2)
         )
         assert r.energy == expect
+
+
+def scalar_replay(sysd, funcs, cycles, overheads):
+    """Plain-Python frame loop over ``eval_step``: the reference for run_frames.
+
+    Runs the first ``len(funcs)`` tasks; returns the five run_frames outputs.
+    """
+    cpu = sysd.cpu
+    finish, energies, switches, counts, missed = [], [], [], [], []
+    for row in cycles:
+        t = energy = switch = 0.0
+        changes = 0
+        prev = None
+        fin = []
+        for fn, c in zip(funcs, row):
+            f = eval_step(fn, t)
+            j = cpu.index_of(f)
+            if prev is not None:
+                changes += j != prev
+                if overheads:
+                    cost = cpu.same_speed_switch[j] if j == prev else cpu.switch_penalty[prev][j]
+                    t += cost
+                    switch += cost
+            exec_t = float(c) / f
+            energy += cpu.power[j] * exec_t
+            t += exec_t
+            fin.append(t)
+            prev = j
+        finish.append(fin)
+        energies.append(energy)
+        switches.append(switch)
+        counts.append(changes)
+        missed.append(t > sysd.deadline)
+    return finish, energies, switches, counts, missed
+
+
+class TestExactScalarReplay:
+    def test_arbitrary_strategies_bit_identical(self):
+        """run_frames equals the scalar loop with ==, on non-monotone step
+        functions of 1-12 steps whose step times include start times that
+        earlier frames reach exactly (ties pick the later step)."""
+        rng = np.random.default_rng(2024)
+        ties = 0
+        for case in range(24):
+            sysd = gen.realistic_feasible_system(rng, n_max=6, with_overheads=True)
+            cycles = sample_cycles(sysd, rng, 200)
+            freqs = sysd.cpu.freqs
+            funcs = []
+            for i in range(sysd.n_tasks):
+                n_steps = int(rng.integers(1, 13))
+                times = {float(x) for x in rng.uniform(0.0, 1.2 * sysd.deadline, n_steps)}
+                if i:
+                    for ov in (False, True):
+                        starts = np.array(scalar_replay(sysd, funcs, cycles, ov)[0])[:, -1]
+                        times |= {float(x) for x in rng.choice(starts, n_steps // 2)}
+                times = [0.0] + sorted(times - {0.0})[: n_steps - 1]
+                pts = tuple((x, float(freqs[int(rng.integers(len(freqs)))])) for x in times)
+                funcs.append(StepFunction(pts))
+            strat = StrategySet(tuple(funcs))
+            for ov in (False, True):
+                want = scalar_replay(sysd, funcs, cycles, ov)
+                starts = np.array(want[0])[:, :-1]
+                ties += sum(int(np.isin(starts[:, i], fn._times).sum()) for i, fn in enumerate(funcs[1:]))
+                for order in ("C", "F"):
+                    got = run_frames(sysd, strat, np.asarray(cycles, order=order), overheads=ov)
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, np.array(w)), (case, ov, order)
+                        assert g.dtype == np.array(w).dtype
+        assert ties > 100, "too few start times land exactly on a step time"
+
+
+class TestExactSum:
+    def cases(self):
+        rng = np.random.default_rng(5)
+        sign = lambda n: rng.choice([-1.0, 1.0], n)
+        yield rng.uniform(0.01, 0.02, 20_000)
+        yield sign(5000) * rng.uniform(1.0, 10.0, 5000) * 10.0 ** rng.integers(-320, 301, 5000)
+        yield rng.integers(-1000, 1000, 3000) * 5e-324  # subnormals
+        yield np.concatenate([rng.uniform(-1, 1, 500) * 2.0**-1060, rng.uniform(0, 1, 500)])
+        yield np.array([1e300, 1.0, -1e300, 3e-310, -3e-310, 2.0**-1074])
+        yield np.zeros(100)
+        yield np.array([-0.0] * 10)
+        yield np.array([0.0, -0.0, 1.5, -0.0])
+        yield np.array([0.1] * 10 + [-0.1] * 9)
+        yield sign(2000) * rng.uniform(0, 1, 2000) * 2.0 ** rng.integers(-50, 50, 2000)
+        for x in (0.0, -0.0, 5e-324, -2.5, 1.7976931348623157e308, 0.1):
+            yield np.array([x])
+
+    def test_equals_fsum(self):
+        for a in self.cases():
+            got, want = _exact_sum(a), math.fsum(a)
+            assert type(got) is float
+            assert got == want, (a[:4], got, want)
+
+    def test_non_finite_falls_back_to_fsum(self):
+        assert _exact_sum(np.array([1.0, np.inf])) == math.inf
+        assert math.isnan(_exact_sum(np.array([1.0, np.nan])))
+        with pytest.raises(ValueError):
+            _exact_sum(np.array([np.inf, -np.inf]))
+
+
+def test_evaluate_frees_each_run_before_the_next():
+    """Peak memory of evaluate does not grow with the number of builders."""
+    sysd = load_system(Path(__file__).resolve().parent.parent / "configs" / "xscale.json")
+    zones = danger_zones(sysd)
+    cycles = sample_cycles(sysd, np.random.default_rng(0), 200_000)
+
+    def peak(n_builders):
+        tracemalloc.start()
+        try:
+            evaluate(sysd, sysd, zones, [(f"limit{k}", build_limit) for k in range(n_builders)], cycles)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(5) <= 1.05 * peak(1)
 
 
 class TestMonteCarlo:

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import sys
 import tracemalloc
 
@@ -110,6 +112,18 @@ class TestArrayAtoms:
         assert a != CycleDistribution.histogram(10, (0.25, 0.75))
         assert a != CycleDistribution.histogram(20, (0.5, 0.5))
         assert a != "histogram"
+
+    @pytest.mark.parametrize("copier", [lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy])
+    def test_copies_stay_read_only(self, copier):
+        for d in (CycleDistribution.histogram(10, (0.5, 0.5)),
+                  CycleDistribution.from_points({3: 0.25, 9: 0.75}),
+                  CycleDistribution.uniform(2, 5)):
+            c = copier(d)
+            assert c == d
+            for arr in (c.probs, c.values):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[...] = 1
 
 
 class TestBinTrace:
