@@ -2,7 +2,8 @@
 
 Subcommands: check, build, simulate, sweep, soft-deadline, oracle.
 Exit codes: 0 success/schedulable, 1 not schedulable or infeasible,
-2 invalid input. Outputs are deterministic for a fixed seed.
+2 invalid input, 3 valid input too large for an exact answer. Outputs
+are deterministic for a fixed seed.
 """
 from __future__ import annotations
 
@@ -22,7 +23,14 @@ from .config import (
     load_system,
     save_strategy,
 )
-from .core import FrameDvsError, FrameSystem, InfeasibleSystemError, StrategySet, TaskSpec
+from .core import (
+    CapExceededError,
+    FrameDvsError,
+    FrameSystem,
+    InfeasibleSystemError,
+    StrategySet,
+    TaskSpec,
+)
 # danger_zones, run_frames and _stats have no caller here; they stay for the
 # per-layer tracer in perfbench/, which wraps this module's names
 from .schedulability import check, danger_zones, danger_zones_overhead  # noqa: F401
@@ -249,6 +257,9 @@ def main(argv=None) -> int:
     except InfeasibleSystemError as e:
         print(f"error: {e}", file=_sys.stderr)
         return 1
+    except CapExceededError as e:
+        print(f"error: input is valid but too large for an exact answer: {e}", file=_sys.stderr)
+        return 3
     except (FrameDvsError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 2

@@ -9,11 +9,16 @@ a step boundary is approached from below, or at cycle-range extremes.
 The per-task worst finish can come from a run where an earlier task used
 fewer cycles than its worst case: ending just before a step boundary can
 leave the successor on the slower side of its function.
+
+Each finish interval remembers the start interval it came from, and the
+witness is read back along those links, so it is consistent with the
+switch costs the forward pass charged.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import CapExceededError, FrameSystem, StrategySet
 
@@ -27,50 +32,32 @@ class WorstCaseReport:
     """Per-task worst finish times and the cycle choices reaching them.
 
     ``witness[i]`` lists the cycle demands of tasks 0..i whose run finishes
-    at (or arbitrarily close to) ``tau[i]``. The entries may be interior
-    bin values: worst cases are not generally all-worst-case runs.
+    at (or arbitrarily close to) ``tau[i]``; it is consistent with the
+    switch costs the oracle charged. The entries may be interior bin
+    values: worst cases are not generally all-worst-case runs.
     """
 
     tau: tuple[float, ...]
     witness: tuple[tuple[float, ...], ...]
 
 
-@dataclass(frozen=True)
-class _Contribution:
-    finish_lo: float
-    finish_hi: float
-    run_fidx: int
-    cost: float
-    dom_lo: float
-    dom_hi: float
-    freq: float
-    cyc_lo: float
-    cyc_hi: float
+# A contribution is the finish interval of one task over one (start
+# interval, step piece, demand range) triple, as the plain tuple
+#   (fidx, finish_lo, finish_hi, src, cost, dom_lo, dom_hi, f, cyc_lo, cyc_hi)
+# where src indexes the task's merged start intervals and fidx is the mode
+# it runs at. A merged interval is the list [lo, hi, fidx, members].
 
 
-def _pieces(points) -> list[tuple[float, float, float]]:
-    out = []
-    for k, (t, f) in enumerate(points):
-        t_next = points[k + 1][0] if k + 1 < len(points) else math.inf
-        out.append((t, t_next, f))
-    return out
-
-
-def _merge(contribs: list[_Contribution]) -> list[tuple[float, float, int]]:
-    by_freq: dict[int, list[tuple[float, float]]] = {}
-    for c in contribs:
-        by_freq.setdefault(c.run_fidx, []).append((c.finish_lo, c.finish_hi))
-    merged: list[tuple[float, float, int]] = []
-    for fidx in sorted(by_freq):
-        ivs = sorted(by_freq[fidx])
-        cur_lo, cur_hi = ivs[0]
-        for lo, hi in ivs[1:]:
-            if lo <= cur_hi:
-                cur_hi = max(cur_hi, hi)
-            else:
-                merged.append((cur_lo, cur_hi, fidx))
-                cur_lo, cur_hi = lo, hi
-        merged.append((cur_lo, cur_hi, fidx))
+def _merge(contribs: list[tuple]) -> list[list]:
+    """Union of the finish intervals per run mode, keeping the members."""
+    merged: list[list] = []
+    for c in sorted(contribs):
+        fidx, lo, hi = c[:3]
+        if merged and merged[-1][2] == fidx and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+            merged[-1][3].append(c)
+        else:
+            merged.append([lo, hi, fidx, [c]])
     return merged
 
 
@@ -84,21 +71,17 @@ def worst_finish_oracle(
     if len(strategy) != sys.n_tasks:
         raise ValueError("strategy length does not match task count")
     cpu = sys.cpu
-    pieces_by_task = []
-    for fn in strategy.funcs:
-        pieces_by_task.append(
-            [(a, b, cpu.index_of(f)) for a, b, f in _pieces(fn.points)]
-        )
     # Decision times for the next task: finish of the previous one, tagged
-    # with the frequency it ran at (switch cost depends on it).
-    reach: list[tuple[float, float, int | None]] = [(0.0, 0.0, None)]
-    taus: list[float] = []
-    contribs_by_task: list[list[_Contribution]] = []
-    for i, task in enumerate(sys.tasks):
+    # with the mode it ran at (switch cost depends on it).
+    starts: list[list[list]] = [[[0.0, 0.0, None, []]]]
+    tops: list[tuple] = []
+    for task, fn in zip(sys.tasks, strategy.funcs):
+        ends = [t for t, _ in fn.points[1:]] + [math.inf]
+        pieces = [(a, b, cpu.index_of(f), f) for (a, f), b in zip(fn.points, ends)]
         ranges = task.dist.ranges()
-        contribs: list[_Contribution] = []
-        for rlo, rhi, prev_idx in reach:
-            for a, b, fidx in pieces_by_task[i]:
+        contribs: list[tuple] = []
+        for src, (rlo, rhi, prev_idx, _) in enumerate(starts[-1]):
+            for a, b, fidx, f in pieces:
                 dom_lo = max(rlo, a)
                 dom_hi = min(rhi, b)
                 if dom_lo > dom_hi or dom_lo >= b:
@@ -110,56 +93,38 @@ def worst_finish_oracle(
                         cost = cpu.same_speed_switch[fidx]
                 else:
                     cost = 0.0
-                f = cpu.freqs[fidx]
                 for clo, chi in ranges:
-                    contribs.append(
-                        _Contribution(
-                            finish_lo=dom_lo + cost + clo / f,
-                            finish_hi=dom_hi + cost + chi / f,
-                            run_fidx=fidx,
-                            cost=cost,
-                            dom_lo=dom_lo,
-                            dom_hi=dom_hi,
-                            freq=f,
-                            cyc_lo=clo,
-                            cyc_hi=chi,
-                        )
-                    )
+                    contribs.append((
+                        fidx, dom_lo + cost + clo / f, dom_hi + cost + chi / f,
+                        src, cost, dom_lo, dom_hi, f, clo, chi,
+                    ))
         if len(contribs) > max_intervals:
             raise CapExceededError("reachable interval count exceeds cap")
-        taus.append(max(c.finish_hi for c in contribs))
-        contribs_by_task.append(contribs)
-        reach = _merge(contribs)
-    witness = tuple(
-        _reconstruct(contribs_by_task, i, taus[i]) for i in range(sys.n_tasks)
+        tops.append(max(contribs, key=itemgetter(2)))
+        starts.append(_merge(contribs))
+    return WorstCaseReport(
+        tuple(c[2] for c in tops),
+        tuple(_reconstruct(starts, i, c) for i, c in enumerate(tops)),
     )
-    return WorstCaseReport(tuple(taus), witness)
 
 
-def _reconstruct(
-    contribs_by_task: list[list[_Contribution]], i: int, target: float
-) -> tuple[float, ...]:
-    """Walk a worst finish back to the cycle choices that produce it."""
+def _reconstruct(starts: list[list[list]], i: int, c: tuple) -> tuple[float, ...]:
+    """Walk the worst finish of task i back to the cycle choices producing it.
+
+    ``c`` is the contribution with ``finish_hi == tau[i]``. Each step clamps
+    the start time ``theta`` into c's domain, which lies inside the merged
+    start interval c came from. That interval's members cover it without
+    gaps (merging joins closed intervals that touch, comparing the same
+    floats), so one member's closed finish interval always contains
+    ``theta``, and it ran at the mode c's switch cost was charged against.
+    """
     chain = [0.0] * (i + 1)
+    target = c[2]
     for j in range(i, -1, -1):
-        c = _containing(contribs_by_task[j], target)
-        theta = target - c.cost - c.cyc_hi / c.freq
-        theta = min(max(theta, c.dom_lo), c.dom_hi)
-        cyc = (target - theta - c.cost) * c.freq
-        chain[j] = min(max(cyc, c.cyc_lo), c.cyc_hi)
+        _, _, _, src, cost, dom_lo, dom_hi, f, cyc_lo, cyc_hi = c
+        theta = min(max(target - cost - cyc_hi / f, dom_lo), dom_hi)
+        chain[j] = min(max((target - theta - cost) * f, cyc_lo), cyc_hi)
+        if j:
+            c = next(m for m in starts[j][src][3] if m[1] <= theta <= m[2])
         target = theta
     return tuple(chain)
-
-
-def _containing(contribs: list[_Contribution], target: float) -> _Contribution:
-    scale = max(abs(target), 1.0)
-    best = None
-    best_slack = -math.inf
-    for c in contribs:
-        slack = min(target - c.finish_lo, c.finish_hi - target)
-        if slack > best_slack:
-            best_slack = slack
-            best = c
-    if best is None or best_slack < -1e-9 * scale:
-        raise RuntimeError("witness reconstruction lost the target interval")
-    return best

@@ -21,6 +21,7 @@ from .core import (
     FrameSystem,
     InfeasibleSystemError,
     StrategySet,
+    as_cycles,
 )
 # danger_zones has no caller here; it stays for the per-layer tracer in perfbench/
 from .schedulability import DangerZones, danger_zones, danger_zones_overhead  # noqa: F401
@@ -147,6 +148,7 @@ def run_frame(
     """Execute a single frame with the given per-task cycle demands."""
     if len(cycles) != sys.n_tasks:
         raise ValueError("cycles length does not match task count")
+    cycles = [as_cycles(c) for c in cycles]
     for c, task in zip(cycles, sys.tasks):
         if c <= 0:
             raise ValueError("cycle demands must be positive")

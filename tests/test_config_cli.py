@@ -209,6 +209,15 @@ class TestOtherCommands:
         assert not fast_report["worst_case_miss"]
         assert main(["oracle", "--system", str(sys_file), "--strategy", str(slow)]) == 1
 
+    def test_cap_exceeded_exits_three(self, tmp_path, capsys):
+        """A valid input too large for an exact answer is not invalid input."""
+        d = small_system_dict(wcecs=(5_000_000,) * 3)
+        for task in d["tasks"]:
+            task["dist"]["lo"] = 1
+        sys_file = write_json(tmp_path / "sys.json", d)
+        assert main(["soft-deadline", "--system", str(sys_file), "--eps", "0.05"]) == 3
+        assert "valid but too large for an exact answer" in capsys.readouterr().err
+
 
 def _set(path, value):
     """System-dict patch that sets the entry at ``path`` to ``value``."""

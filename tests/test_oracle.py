@@ -11,7 +11,12 @@ from framedvs import (
     StepFunction,
     StrategySet,
     TaskSpec,
+    build_limit,
+    danger_zones_overhead,
+    discretize,
+    dpms_rule,
     run_frame,
+    run_frames,
     worst_finish_oracle,
 )
 
@@ -92,6 +97,41 @@ class TestAgainstEnumeration:
                     cycles[j] = int(round(c))
                 r = run_frame(sysd, strat, cycles, overheads=True)
                 assert r.finish_times[i] == pytest.approx(rep.tau[i], rel=1e-9)
+
+    def test_witnesses_replay_under_switch_costs(self):
+        """Each witness replays to tau with the switch costs the oracle charged.
+
+        The exception is a supremum approached from below: a replayed start
+        that lands on a step time of its function takes the next step.
+        """
+        rng = np.random.default_rng(0)
+        for _ in range(150):
+            sysd = gen.realistic_feasible_system(rng, n_max=6, with_overheads=True)
+            zones = danger_zones_overhead(sysd, "sufficient")
+            strategies = (
+                build_limit(sysd, zones),
+                discretize(sysd, zones, dpms_rule(sysd, "closest"), "closest"),
+                StrategySet(
+                    tuple(
+                        gen.random_step_function(rng, sysd.cpu.freqs, sysd.deadline)
+                        for _ in sysd.tasks
+                    )
+                ),
+            )
+            for strat in strategies:
+                rep = worst_finish_oracle(sysd, strat, overheads=True)
+                for i, w in enumerate(rep.witness):
+                    cycles = [float(t.wcec) for t in sysd.tasks]
+                    cycles[: i + 1] = w
+                    fin, *_ = run_frames(sysd, strat, np.array([cycles]), overheads=True)
+                    starts = [0.0, *fin[0, :i]]
+                    on_step = any(
+                        abs(t - bt) <= 1e-9 * bt
+                        for fn, t in zip(strat.funcs, starts)
+                        for bt, _ in fn.points[1:]
+                    )
+                    if not on_step:
+                        assert fin[0, i] == pytest.approx(rep.tau[i], rel=1e-9)
 
 
 class TestBinnedDemand:

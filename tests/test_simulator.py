@@ -94,6 +94,18 @@ class TestRunFrame:
         with pytest.raises(ValueError):
             run_frame(sysd, strat, (0,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 50.5])
+    def test_non_integer_demand_raises(self, bad):
+        sysd = single_task_system()
+        strat = StrategySet((StepFunction(((0.0, 1000.0),)),))
+        with pytest.raises(ValueError):
+            run_frame(sysd, strat, (bad,))
+
+    def test_numpy_integer_demand(self):
+        sysd = single_task_system()
+        strat = StrategySet((StepFunction(((0.0, 1000.0),)),))
+        assert run_frame(sysd, strat, (np.int64(50),)) == run_frame(sysd, strat, (50,))
+
 
 class TestBatchAgainstScalarReplay:
     def test_independent_recomputation(self):
