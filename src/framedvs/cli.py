@@ -108,9 +108,8 @@ def cmd_simulate(args) -> int:
     build_sys = system
     if sim.soft_eps is not None:
         build_sys = _soft_build_system(system, sim.soft_eps, sim.soft_wcec)
-    zones = danger_zones_overhead(build_sys, "sufficient" if overheads else "plain")
     cycles = sample_cycles(system, np.random.default_rng(seed), sim.n_frames)
-    results = evaluate(system, build_sys, zones, _experiment_builders(cfg), cycles, overheads)
+    results = evaluate(system, build_sys, _experiment_builders(cfg), cycles, overheads)
     lines = [
         "strategy,frames,mean_energy_j,stderr_j,miss_rate,mean_freq_changes,mean_switch_time_s"
     ]
@@ -147,7 +146,6 @@ def cmd_sweep(args) -> int:
         seed,
         baseline=cfg.sweep.baseline,
         overheads=overheads,
-        zone_mode="sufficient" if overheads else "plain",
     )
     _emit(table.to_csv(), args.out)
     if args.svg:
@@ -205,7 +203,7 @@ def _parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="verify a strategy against a system")
     c.add_argument("--system", required=True)
     c.add_argument("--strategy", required=True)
-    c.add_argument("--mode", choices=["plain", "necessary", "sufficient"], default="plain")
+    c.add_argument("--mode", choices=["plain", "sufficient"], default="plain")
     c.set_defaults(fn=cmd_check)
 
     b = sub.add_parser("build", help="build a strategy file for a system")

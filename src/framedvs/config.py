@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import FrameSystem, FrequencyTable, StepFunction, StrategySet, TaskSpec
+from .core import FrameSystem, FrequencyTable, StepFunction, StrategySet, TaskSpec, as_cycles
 from .workload import CycleDistribution
 
 __all__ = [
@@ -173,6 +173,14 @@ class ExperimentConfig:
             raise ValueError("sweep baseline must name a strategy entry")
 
 
+def _count(key: str, v) -> int:
+    """``v`` as an int under the ``as_cycles`` rule, naming ``key`` on error."""
+    try:
+        return as_cycles(v)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {v!r}") from None
+
+
 def experiment_from_dict(d: dict, base: Path | None = None) -> ExperimentConfig:
     if "system_file" in d:
         path = Path(d["system_file"])
@@ -192,8 +200,8 @@ def experiment_from_dict(d: dict, base: Path | None = None) -> ExperimentConfig:
     )
     sim_d = d.get("simulation", {})
     simulation = SimulationSettings(
-        n_frames=int(sim_d.get("n_frames", 10_000)),
-        seed=int(sim_d.get("seed", 0)),
+        n_frames=_count("n_frames", sim_d.get("n_frames", 10_000)),
+        seed=_count("seed", sim_d.get("seed", 0)),
         overheads=sim_d.get("overheads", "off"),
         soft_eps=(None if sim_d.get("soft_eps") is None else float(sim_d["soft_eps"])),
         soft_wcec=sim_d.get("soft_wcec", "true_wcec"),
@@ -204,7 +212,7 @@ def experiment_from_dict(d: dict, base: Path | None = None) -> ExperimentConfig:
         sweep = SweepSettings(
             d_lo=float(sw["d_lo"]),
             d_hi=float(sw["d_hi"]),
-            n_points=int(sw["n_points"]),
+            n_points=_count("n_points", sw["n_points"]),
             baseline=sw.get("baseline", strategies[0].name),
         )
     return ExperimentConfig(system, strategies, simulation, sweep)

@@ -54,7 +54,7 @@ def as_cycles(v) -> int:
     """``v`` as an int cycle count; NaN, inf and fractions raise ValueError."""
     try:
         n = int(v)
-    except OverflowError:  # int(inf); int(nan) raises ValueError itself
+    except (OverflowError, TypeError):  # int(inf), int(None); int(nan) raises ValueError
         raise ValueError(f"cycle count {v!r} is not an integer") from None
     if n != v:
         raise ValueError(f"cycle count {v!r} is not an integer")
@@ -77,12 +77,17 @@ class FrequencyTable:
     frequency from mode i to mode j; ``same_speed_switch[j]`` is the job
     switch time when the frequency stays at mode j. The worst change
     penalty must be the slowest-to-fastest entry.
+
+    ``switch_cost[i][j]`` is what a job switch from mode i to mode j costs:
+    the change penalty off the diagonal, the same-speed time on it. It is
+    derived, so it is no constructor argument and takes no part in equality.
     """
 
     freqs: tuple[float, ...]
     power: tuple[float, ...]
     switch_penalty: tuple[tuple[float, ...], ...] = ()
     same_speed_switch: tuple[float, ...] = ()
+    switch_cost: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         freqs = tuple(float(f) for f in self.freqs)
@@ -119,6 +124,8 @@ class FrequencyTable:
             raise ValueError("same-speed switch times must be nonnegative")
         object.__setattr__(self, "switch_penalty", pt)
         object.__setattr__(self, "same_speed_switch", st)
+        cost = tuple(row[:i] + (st[i],) + row[i + 1:] for i, row in enumerate(pt))
+        object.__setattr__(self, "switch_cost", cost)
 
     @property
     def n_modes(self) -> int:

@@ -33,8 +33,10 @@ class WorstCaseReport:
 
     ``witness[i]`` lists the cycle demands of tasks 0..i whose run finishes
     at (or arbitrarily close to) ``tau[i]``; it is consistent with the
-    switch costs the oracle charged. The entries may be interior bin
-    values: worst cases are not generally all-worst-case runs.
+    switch costs the oracle charged. Entries may be interior bin values,
+    as worst cases are not generally all-worst-case runs, and fractional,
+    as demand is continuous within each covered range, so a witness
+    replays through ``run_frames``, not the integral-only ``run_frame``.
     """
 
     tau: tuple[float, ...]
@@ -87,10 +89,7 @@ def worst_finish_oracle(
                 if dom_lo > dom_hi or dom_lo >= b:
                     continue
                 if overheads and prev_idx is not None:
-                    if fidx != prev_idx:
-                        cost = cpu.switch_penalty[prev_idx][fidx]
-                    else:
-                        cost = cpu.same_speed_switch[fidx]
+                    cost = cpu.switch_cost[prev_idx][fidx]
                 else:
                     cost = 0.0
                 for clo, chi in ranges:

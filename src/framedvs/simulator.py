@@ -1,11 +1,10 @@
 """Expedient frame execution with energy and switch-time accounting.
 
 A frame runs the tasks back to back: each task reads its frequency from
-its step function at the moment the previous task ends, pays the switch
-time (change penalty if the frequency differs, same-speed switch time
-otherwise; the first task pays nothing at time 0), executes its cycles,
-and hands over. Switching consumes time only; idle time after the last
-task consumes no energy.
+its step function at the moment the previous task ends, pays the CPU's
+``switch_cost`` from the previous mode (the first task pays nothing at
+time 0), executes its cycles, and hands over. Switching consumes time
+only; idle time after the last task consumes no energy.
 """
 from __future__ import annotations
 
@@ -66,25 +65,6 @@ class SimStats:
     mean_switch_time: float = 0.0
 
 
-class _Prepared:
-    """Per-strategy arrays for vectorized frame execution."""
-
-    def __init__(self, sys: FrameSystem, strategy: StrategySet):
-        if len(strategy) != sys.n_tasks:
-            raise ValueError("strategy length does not match task count")
-        cpu = sys.cpu
-        self.freqs = np.asarray(cpu.freqs)
-        self.power = np.asarray(cpu.power)
-        self.pt = np.asarray(cpu.switch_penalty)
-        self.st = np.asarray(cpu.same_speed_switch)
-        self.deadline = sys.deadline
-        self.steps = []
-        for fn in strategy.funcs:
-            times = np.asarray([t for t, _ in fn.points])
-            fidx = np.asarray([cpu.index_of(f) for _, f in fn.points], dtype=np.int64)
-            self.steps.append((times, fidx))
-
-
 def run_frames(
     sys: FrameSystem,
     strategy: StrategySet,
@@ -99,14 +79,17 @@ def run_frames(
     frequency_changes, missed) arrays; ``finish_times`` is column-major.
     A task's step lookup costs one comparison per step of its function.
     """
-    prep = _Prepared(sys, strategy)
+    if len(strategy) != sys.n_tasks:
+        raise ValueError("strategy length does not match task count")
     cycles = np.asarray(cycles, dtype=np.float64)
     if cycles.ndim != 2 or cycles.shape[1] != sys.n_tasks:
         raise ValueError("cycles must be (frames, tasks)")
+    cpu = sys.cpu
+    freqs = np.asarray(cpu.freqs)
+    power = np.asarray(cpu.power)
+    m = cpu.n_modes
+    cost_of = np.ravel(cpu.switch_cost)  # switch cost of prev -> fi at [prev * m + fi]
     n = cycles.shape[0]
-    m = len(prep.freqs)
-    # switch cost of prev -> fi at [prev * m + fi]: same-speed time on the diagonal
-    cost_of = np.where(np.eye(m, dtype=bool), prep.st, prep.pt).ravel()
     t = np.zeros(n)
     energy = np.zeros(n)
     switch = np.zeros(n)
@@ -115,8 +98,9 @@ def run_frames(
     k = np.empty(n, dtype=np.int64)
     exec_t = np.empty(n)
     prev_idx = None
-    for i in range(sys.n_tasks):
-        times, fidx = prep.steps[i]
+    for i, fn in enumerate(strategy.funcs):
+        times = np.asarray([s for s, _ in fn.points])
+        fidx = np.asarray([cpu.index_of(f) for _, f in fn.points], dtype=np.int64)
         # index of the last step time <= t, as searchsorted(side="right") - 1
         # gives: times[0] == 0 and the times increase, so count those above t
         # (a tie takes the later step; a NaN start, sorted last, the last one)
@@ -130,12 +114,12 @@ def run_frames(
                 cost = cost_of[prev_idx * m + fi]
                 t += cost
                 switch += cost
-        np.divide(cycles[:, i], prep.freqs[fi], out=exec_t)
-        energy += prep.power[fi] * exec_t
+        np.divide(cycles[:, i], freqs[fi], out=exec_t)
+        energy += power[fi] * exec_t
         t += exec_t
         finish[:, i] = t
         prev_idx = fi
-    missed = t > prep.deadline
+    missed = t > sys.deadline
     return finish, energy, switch, changes, missed
 
 
@@ -308,16 +292,18 @@ class SweepTable:
 def evaluate(
     sys: FrameSystem,
     build_sys: FrameSystem,
-    zones: DangerZones,
     builders: Sequence[tuple[str, Builder]],
     cycles: np.ndarray,
     overheads: bool = False,
 ) -> dict[str, SimStats | None]:
     """Build each strategy for ``build_sys`` and run it on ``sys``.
 
-    Every strategy runs on the same cycle draws. A builder that finds the
-    system infeasible maps to None.
+    Builders get sufficient zones with ``overheads`` on, so they budget for
+    the switch costs the run charges, and plain zones with it off. Every
+    strategy runs on the same cycle draws. A builder that finds the system
+    infeasible maps to None.
     """
+    zones = danger_zones_overhead(build_sys, "sufficient" if overheads else "plain")
     out: dict[str, SimStats | None] = {}
     for name, build in builders:
         try:
@@ -340,11 +326,11 @@ def sweep_deadlines(
     seed: int,
     baseline: str | None = None,
     overheads: bool = False,
-    zone_mode: str = "plain",
 ) -> SweepTable:
     """Rebuild and simulate every strategy across a linear deadline grid.
 
-    All strategies at one grid point see the same cycle draws, so energy
+    Each point runs ``evaluate``, so the zones follow ``overheads``. All
+    strategies at one grid point see the same cycle draws, so energy
     ratios compare like with like. A builder that finds a point
     infeasible yields an NA cell instead of aborting the sweep.
     """
@@ -363,8 +349,7 @@ def sweep_deadlines(
         sys_d = replace(sys, deadline=float(d))
         rng = np.random.default_rng([seed, p_idx])
         cycles = sample_cycles(sys_d, rng, n_frames)
-        zones = danger_zones_overhead(sys_d, zone_mode)
-        point_stats = evaluate(sys_d, sys_d, zones, strategy_builders, cycles, overheads)
+        point_stats = evaluate(sys_d, sys_d, strategy_builders, cycles, overheads)
         base = point_stats[baseline]
         for name in names:
             st = point_stats[name]

@@ -130,6 +130,15 @@ class TestCmdCheckBuild:
         assert main(["build", "--system", str(sys_file), "--kind", "limit",
                      "--out", str(tmp_path / "o.json")]) == 1
 
+    def test_check_has_no_necessary_mode(self, tmp_path):
+        """Passing necessary zones is no schedulability verdict, so check refuses them."""
+        sys_file = write_json(tmp_path / "sys.json", small_system_dict())
+        strat_file = write_json(tmp_path / "fast.json", {"funcs": [[[0.0, 1000e6]]]})
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--system", str(sys_file), "--strategy", str(strat_file),
+                  "--mode", "necessary"])
+        assert exc.value.code == 2
+
     def test_pitdvs_build_round_trips(self, tmp_path):
         sys_file = write_json(tmp_path / "sys.json", small_system_dict(wcecs=(300, 200)))
         out = tmp_path / "p.json"
@@ -179,6 +188,23 @@ class TestCmdSimulateSweep:
             d, name, energy, ratio, miss, stderr = line.split(",")
             if name == "dpms_closest_2" and ratio != "NA":
                 assert float(ratio) == 1.0
+
+    @pytest.mark.parametrize(
+        "section,key,text",
+        [
+            ("simulation", "n_frames", "1e400"),
+            ("simulation", "n_frames", "1.5"),
+            ("simulation", "seed", "1.7"),
+            ("simulation", "seed", "null"),
+            ("sweep", "n_points", "2.5"),
+        ],
+    )
+    def test_counts_that_are_not_integers_exit_two(self, tmp_path, section, key, text):
+        cfg = self.experiment(tmp_path)
+        d = json.loads(cfg.read_text())
+        d[section][key] = "@COUNT@"
+        cfg.write_text(json.dumps(d).replace('"@COUNT@"', text))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = self.experiment(tmp_path)

@@ -150,6 +150,17 @@ class TestFrequencyTable:
         assert t.change_penalty_max == 0.0
         assert t.same_speed_at_max == 0.0
 
+    def test_switch_cost_table(self):
+        pt = ((0.0, 0.3, 0.5), (0.2, 0.0, 0.4), (0.1, 0.25, 0.0))
+        st = (0.01, 0.02, 0.03)
+        t = FrequencyTable((1.0, 2.0, 3.0), (0.1, 0.2, 0.3), pt, st)
+        for i in range(3):
+            for j in range(3):
+                assert t.switch_cost[i][j] == (st[j] if i == j else pt[i][j])
+        # derived, so it leaves equality and repr alone
+        assert t == FrequencyTable((1.0, 2.0, 3.0), (0.1, 0.2, 0.3), pt, st)
+        assert "switch_cost" not in repr(t)
+
     def test_index_of(self):
         assert XSCALE.index_of(600e6) == 2
         with pytest.raises(ValueError):

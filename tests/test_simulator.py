@@ -260,16 +260,28 @@ class TestExactSum:
             _exact_sum(np.array([np.inf, -np.inf]))
 
 
+def test_sweeps_with_overheads_never_miss():
+    """With overheads on, the builders budget for the switch costs the run charges."""
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        sysd = gen.realistic_feasible_system(rng, with_overheads=True)
+        budget = sum(sysd.wcecs) / sysd.cpu.f_max + sysd.n_tasks * sysd.cpu.change_penalty_max
+        table = sweep_deadlines(
+            sysd, [("limit", build_limit)], 1.01 * budget, 3 * budget, 3, 1000, 0, overheads=True
+        )
+        for c in table.cells:
+            assert c.stats is None or c.stats.miss_rate == 0, (sysd, c)
+
+
 def test_evaluate_frees_each_run_before_the_next():
     """Peak memory of evaluate does not grow with the number of builders."""
     sysd = load_system(Path(__file__).resolve().parent.parent / "configs" / "xscale.json")
-    zones = danger_zones(sysd)
     cycles = sample_cycles(sysd, np.random.default_rng(0), 200_000)
 
     def peak(n_builders):
         tracemalloc.start()
         try:
-            evaluate(sysd, sysd, zones, [(f"limit{k}", build_limit) for k in range(n_builders)], cycles)
+            evaluate(sysd, sysd, [(f"limit{k}", build_limit) for k in range(n_builders)], cycles)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
