@@ -13,7 +13,6 @@ from .core import (
     FrameSystem,
     FrequencyTable,
     InfeasibleSystemError,
-    Schedulability,
     SpeedRangeError,
     StepFunction,
     StrategySet,
@@ -21,7 +20,6 @@ from .core import (
     eval_step,
     normalize_steps,
     quantize,
-    validate_system,
 )
 from .workload import (
     CycleDistribution,
@@ -33,12 +31,14 @@ from .workload import (
 from .schedulability import (
     CheckReport,
     DangerZones,
+    Schedulability,
     Violation,
     check,
     danger_zones,
     danger_zones_overhead,
     limit,
     recheck_prefix,
+    validate_system,
 )
 from .strategies import (
     BetaVector,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .core import FrameSystem, FrequencyTable, StepFunction, StrategySet, TaskSpec, as_cycles
@@ -94,9 +94,19 @@ def system_to_dict(sys: FrameSystem) -> dict:
     }
 
 
-def load_system(path: str | Path) -> FrameSystem:
+def _load_json(path: str | Path, build):
+    """``build(json, path.parent)``; any malformed content raises ValueError naming the file."""
     path = Path(path)
-    return system_from_dict(json.loads(path.read_text()), base=path.parent)
+    try:
+        return build(json.loads(path.read_text()), path.parent)
+    except KeyError as e:
+        raise ValueError(f"{path}: missing key {e}") from e
+    except (ValueError, TypeError, AttributeError, IndexError) as e:
+        raise ValueError(f"{path}: {e}") from e
+
+
+def load_system(path: str | Path) -> FrameSystem:
+    return _load_json(path, system_from_dict)
 
 
 def strategy_to_dict(strategy: StrategySet) -> dict:
@@ -111,7 +121,7 @@ def strategy_from_dict(d: dict) -> StrategySet:
 
 
 def load_strategy(path: str | Path) -> StrategySet:
-    return strategy_from_dict(json.loads(Path(path).read_text()))
+    return _load_json(path, lambda d, base: strategy_from_dict(d))
 
 
 def save_strategy(strategy: StrategySet, path: str | Path) -> None:
@@ -124,13 +134,17 @@ class StrategyEntry:
     name: str
     kind: str  # limit | dpms | pitdvs
     mode: str = "closest"  # up | closest
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # pitdvs only: beta, pt
 
     def __post_init__(self) -> None:
         if self.kind not in ("limit", "dpms", "pitdvs"):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.mode not in ("up", "closest"):
             raise ValueError(f"unknown strategy mode {self.mode!r}")
+        params = dict(self.params)
+        if params.keys() - {"beta", "pt"}:
+            raise ValueError(f"strategy params may hold only beta and pt, got {sorted(params)}")
+        object.__setattr__(self, "params", params)
 
 
 @dataclass(frozen=True)
@@ -142,6 +156,10 @@ class SimulationSettings:
     soft_wcec: str = "true_wcec"  # kappa | true_wcec
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_frames", _count("n_frames", self.n_frames))
+        object.__setattr__(self, "seed", _count("seed", self.seed))
+        if self.soft_eps is not None:
+            object.__setattr__(self, "soft_eps", float(self.soft_eps))
         if self.overheads not in ("on", "off"):
             raise ValueError("overheads must be 'on' or 'off'")
         if self.soft_wcec not in ("kappa", "true_wcec"):
@@ -155,7 +173,12 @@ class SweepSettings:
     d_lo: float
     d_hi: float
     n_points: int
-    baseline: str
+    baseline: str | None = None  # None: the first strategy entry
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "d_lo", float(self.d_lo))
+        object.__setattr__(self, "d_hi", float(self.d_hi))
+        object.__setattr__(self, "n_points", _count("n_points", self.n_points))
 
 
 @dataclass(frozen=True)
@@ -167,9 +190,11 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         names = [s.name for s in self.strategies]
+        if not names:
+            raise ValueError("strategies must list at least one entry")
         if len(set(names)) != len(names):
             raise ValueError("strategy names must be unique")
-        if self.sweep is not None and self.sweep.baseline not in names:
+        if self.sweep is not None and self.sweep.baseline not in (None, *names):
             raise ValueError("sweep baseline must name a strategy entry")
 
 
@@ -182,6 +207,9 @@ def _count(key: str, v) -> int:
 
 
 def experiment_from_dict(d: dict, base: Path | None = None) -> ExperimentConfig:
+    unknown = d.keys() - {"system", "system_file", "strategies", "simulation", "sweep"}
+    if unknown:
+        raise ValueError(f"unknown experiment keys {sorted(unknown)}")
     if "system_file" in d:
         path = Path(d["system_file"])
         if base is not None and not path.is_absolute():
@@ -189,63 +217,28 @@ def experiment_from_dict(d: dict, base: Path | None = None) -> ExperimentConfig:
         system = load_system(path)
     else:
         system = system_from_dict(d["system"], base)
-    strategies = tuple(
-        StrategyEntry(
-            name=s["name"],
-            kind=s["kind"],
-            mode=s.get("mode", "closest"),
-            params=dict(s.get("params", {})),
-        )
-        for s in d["strategies"]
+    sweep = d.get("sweep")
+    return ExperimentConfig(
+        system,
+        tuple(StrategyEntry(**s) for s in d["strategies"]),
+        SimulationSettings(**d.get("simulation", {})),
+        None if sweep is None else SweepSettings(**sweep),
     )
-    sim_d = d.get("simulation", {})
-    simulation = SimulationSettings(
-        n_frames=_count("n_frames", sim_d.get("n_frames", 10_000)),
-        seed=_count("seed", sim_d.get("seed", 0)),
-        overheads=sim_d.get("overheads", "off"),
-        soft_eps=(None if sim_d.get("soft_eps") is None else float(sim_d["soft_eps"])),
-        soft_wcec=sim_d.get("soft_wcec", "true_wcec"),
-    )
-    sweep = None
-    if "sweep" in d and d["sweep"] is not None:
-        sw = d["sweep"]
-        sweep = SweepSettings(
-            d_lo=float(sw["d_lo"]),
-            d_hi=float(sw["d_hi"]),
-            n_points=_count("n_points", sw["n_points"]),
-            baseline=sw.get("baseline", strategies[0].name),
-        )
-    return ExperimentConfig(system, strategies, simulation, sweep)
 
 
 def experiment_to_dict(cfg: ExperimentConfig) -> dict:
     out: dict = {
         "system": system_to_dict(cfg.system),
-        "strategies": [
-            {"name": s.name, "kind": s.kind, "mode": s.mode, "params": dict(s.params)}
-            for s in cfg.strategies
-        ],
-        "simulation": {
-            "n_frames": cfg.simulation.n_frames,
-            "seed": cfg.simulation.seed,
-            "overheads": cfg.simulation.overheads,
-            "soft_eps": cfg.simulation.soft_eps,
-            "soft_wcec": cfg.simulation.soft_wcec,
-        },
+        "strategies": [asdict(s) for s in cfg.strategies],
+        "simulation": asdict(cfg.simulation),
     }
     if cfg.sweep is not None:
-        out["sweep"] = {
-            "d_lo": cfg.sweep.d_lo,
-            "d_hi": cfg.sweep.d_hi,
-            "n_points": cfg.sweep.n_points,
-            "baseline": cfg.sweep.baseline,
-        }
+        out["sweep"] = asdict(cfg.sweep)
     return out
 
 
 def load_experiment(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
-    return experiment_from_dict(json.loads(path.read_text()), base=path.parent)
+    return _load_json(path, experiment_from_dict)
 
 
 def read_histogram_csv(path: str | Path) -> CycleDistribution:

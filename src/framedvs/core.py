@@ -9,7 +9,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -24,13 +23,11 @@ __all__ = [
     "FrameSystem",
     "StepFunction",
     "StrategySet",
-    "Schedulability",
     "as_cycle_array",
     "as_cycles",
     "eval_step",
     "normalize_steps",
     "quantize",
-    "validate_system",
 ]
 
 
@@ -88,6 +85,7 @@ class FrequencyTable:
     switch_penalty: tuple[tuple[float, ...], ...] = ()
     same_speed_switch: tuple[float, ...] = ()
     switch_cost: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    mode_of: dict[float, int] = field(init=False, repr=False, compare=False)  # {freq: mode}, derived
 
     def __post_init__(self) -> None:
         freqs = tuple(float(f) for f in self.freqs)
@@ -126,6 +124,7 @@ class FrequencyTable:
         object.__setattr__(self, "same_speed_switch", st)
         cost = tuple(row[:i] + (st[i],) + row[i + 1:] for i, row in enumerate(pt))
         object.__setattr__(self, "switch_cost", cost)
+        object.__setattr__(self, "mode_of", {f: k for k, f in enumerate(freqs)})
 
     @property
     def n_modes(self) -> int:
@@ -151,10 +150,10 @@ class FrequencyTable:
 
     def index_of(self, f: float) -> int:
         """Exact mode index of frequency ``f``; raises if not a table entry."""
-        k = bisect.bisect_left(self.freqs, f)
-        if k == len(self.freqs) or self.freqs[k] != f:
-            raise ValueError(f"frequency {f!r} is not in the table")
-        return k
+        try:
+            return self.mode_of[f]
+        except KeyError:
+            raise ValueError(f"frequency {f!r} is not in the table") from None
 
 
 @dataclass(frozen=True)
@@ -195,6 +194,16 @@ class FrameSystem:
     @property
     def wcecs(self) -> tuple[int, ...]:
         return tuple(t.wcec for t in self.tasks)
+
+    def step_modes(self, strategy: "StrategySet") -> list[list[int]]:
+        """Mode index of each step of each task; ValueError unless the strategy fits."""
+        if len(strategy) != self.n_tasks:
+            raise ValueError("strategy length does not match task count")
+        mode_of = self.cpu.mode_of
+        try:
+            return [[mode_of[f] for _, f in fn.points] for fn in strategy.funcs]
+        except KeyError as e:
+            raise ValueError(f"frequency {e.args[0]!r} is not in the table") from None
 
 
 @dataclass(frozen=True)
@@ -241,12 +250,6 @@ class StrategySet:
 
     def __len__(self) -> int:
         return len(self.funcs)
-
-
-class Schedulability(Enum):
-    NEVER = "never_schedulable"
-    ALWAYS = "always_schedulable"
-    DEPENDS = "depends"
 
 
 def eval_step(s: StepFunction, t: float) -> float:
@@ -310,18 +313,3 @@ def quantize(cpu: FrequencyTable, x: float, mode: str) -> float:
         k = bisect.bisect_right(mids, x)
         return cpu.freqs[k]
     raise ValueError(f"unknown quantize mode {mode!r}")
-
-
-def validate_system(sys: FrameSystem) -> Schedulability:
-    """Coarse classification from total worst-case work alone.
-
-    More work than fits at top speed can never be scheduled; work that fits
-    at the lowest speed always can; anything in between depends on the
-    strategy.
-    """
-    total = sum(sys.wcecs)
-    if total / sys.cpu.f_max > sys.deadline:
-        return Schedulability.NEVER
-    if total / sys.cpu.f_min <= sys.deadline:
-        return Schedulability.ALWAYS
-    return Schedulability.DEPENDS

@@ -70,16 +70,15 @@ def worst_finish_oracle(
     max_intervals: int = MAX_INTERVALS,
 ) -> WorstCaseReport:
     """Exact per-task worst finish times under expedient execution."""
-    if len(strategy) != sys.n_tasks:
-        raise ValueError("strategy length does not match task count")
+    modes = sys.step_modes(strategy)
     cpu = sys.cpu
     # Decision times for the next task: finish of the previous one, tagged
     # with the mode it ran at (switch cost depends on it).
     starts: list[list[list]] = [[[0.0, 0.0, None, []]]]
     tops: list[tuple] = []
-    for task, fn in zip(sys.tasks, strategy.funcs):
+    for task, fn, idx in zip(sys.tasks, strategy.funcs, modes):
         ends = [t for t, _ in fn.points[1:]] + [math.inf]
-        pieces = [(a, b, cpu.index_of(f), f) for (a, f), b in zip(fn.points, ends)]
+        pieces = [(a, b, k, f) for (a, f), b, k in zip(fn.points, ends, idx)]
         ranges = task.dist.ranges()
         contribs: list[tuple] = []
         for src, (rlo, rhi, prev_idx, _) in enumerate(starts[-1]):

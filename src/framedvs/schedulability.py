@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
-from .core import FrameSystem, StepFunction, StrategySet, eval_step
+from .core import FrameSystem, StepFunction, StrategySet, as_cycles, eval_step
 
 __all__ = [
     "DangerZones",
+    "Schedulability",
     "Violation",
     "CheckReport",
     "danger_zones",
@@ -21,6 +23,7 @@ __all__ = [
     "limit",
     "check",
     "recheck_prefix",
+    "validate_system",
 ]
 
 
@@ -50,6 +53,12 @@ class DangerZones:
         one expression, so a built strategy passes its own check exactly.
         """
         return self.targets[i] - w / f
+
+
+class Schedulability(Enum):
+    NEVER = "never_schedulable"
+    ALWAYS = "always_schedulable"
+    DEPENDS = "depends"
 
 
 @dataclass(frozen=True)
@@ -177,10 +186,10 @@ def check(sys: FrameSystem, strategy: StrategySet, zones: DangerZones) -> CheckR
     starting inside the danger zone impose nothing), and the last step
     reaching the zone must meet the top-frequency bound there. A negative
     first zone reports not-schedulable rather than raising, so deadline
-    sweeps can pass through infeasible points.
+    sweeps can pass through infeasible points. A step speed that is not
+    in the CPU table raises ValueError: no run can execute it.
     """
-    if len(strategy) != sys.n_tasks:
-        raise ValueError("strategy length does not match task count")
+    sys.step_modes(strategy)  # raises ValueError off the CPU table
     return _check_zones(sys.wcecs, strategy.funcs, zones, sys.n_tasks)
 
 
@@ -194,11 +203,21 @@ def recheck_prefix(
     """
     if not 0 <= i < sys.n_tasks:
         raise ValueError("task index out of range")
+    new_w = as_cycles(new_w)
     if new_w <= 0:
         raise ValueError("new wcec must be positive")
-    if len(strategy) != sys.n_tasks:
-        raise ValueError("strategy length does not match task count")
+    sys.step_modes(strategy)  # raises ValueError off the CPU table
     wcecs = list(sys.wcecs)
-    wcecs[i] = int(new_w)
+    wcecs[i] = new_w
     zones = DangerZones(tuple(_zones_from_wcecs(wcecs, sys.deadline, sys.cpu.f_max)))
     return _check_zones(wcecs, strategy.funcs, zones, i + 1)
+
+
+def validate_system(sys: FrameSystem) -> Schedulability:
+    """NEVER exactly when the builders raise InfeasibleSystemError (z_1 < 0);
+    ALWAYS when the total work fits at the lowest speed; else DEPENDS."""
+    if danger_zones(sys).z[0] < 0:
+        return Schedulability.NEVER
+    if sum(sys.wcecs) / sys.cpu.f_min <= sys.deadline:
+        return Schedulability.ALWAYS
+    return Schedulability.DEPENDS

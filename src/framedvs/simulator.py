@@ -79,8 +79,7 @@ def run_frames(
     frequency_changes, missed) arrays; ``finish_times`` is column-major.
     A task's step lookup costs one comparison per step of its function.
     """
-    if len(strategy) != sys.n_tasks:
-        raise ValueError("strategy length does not match task count")
+    modes = sys.step_modes(strategy)
     cycles = np.asarray(cycles, dtype=np.float64)
     if cycles.ndim != 2 or cycles.shape[1] != sys.n_tasks:
         raise ValueError("cycles must be (frames, tasks)")
@@ -100,7 +99,7 @@ def run_frames(
     prev_idx = None
     for i, fn in enumerate(strategy.funcs):
         times = np.asarray([s for s, _ in fn.points])
-        fidx = np.asarray([cpu.index_of(f) for _, f in fn.points], dtype=np.int64)
+        fidx = np.asarray(modes[i], dtype=np.int64)
         # index of the last step time <= t, as searchsorted(side="right") - 1
         # gives: times[0] == 0 and the times increase, so count those above t
         # (a tie takes the later step; a NaN start, sorted last, the last one)

@@ -6,6 +6,7 @@ import pytest
 
 from framedvs.cli import main
 from framedvs.config import (
+    SimulationSettings,
     experiment_from_dict,
     experiment_to_dict,
     load_experiment,
@@ -63,6 +64,17 @@ class TestConfigRoundTrip:
         cfg = experiment_from_dict(d)
         canon = experiment_to_dict(cfg)
         assert experiment_to_dict(experiment_from_dict(canon)) == canon
+
+    def test_defaults_live_in_the_settings_classes(self):
+        cfg = experiment_from_dict({
+            "system": small_system_dict(),
+            "strategies": [{"name": "a", "kind": "dpms"}],
+            "sweep": {"d_lo": 0.1, "d_hi": 1.0, "n_points": 4},
+        })
+        assert cfg.simulation == SimulationSettings()
+        assert cfg.strategies[0].mode == "closest"
+        assert cfg.strategies[0].params == {}
+        assert cfg.sweep.baseline is None
 
     def test_shipped_configs_parse(self):
         for name in ("xscale.json", "ppc405.json", "two_freq_showcase.json"):
@@ -279,6 +291,7 @@ class TestNonFiniteInput:
             pytest.param(None, {"funcs": [[[0.0, 500e6], [math.nan, 1e9]]]}, [],
                          id="step-time-nan"),
             pytest.param(None, {"funcs": [[[0.0, math.inf]]]}, [], id="step-freq-inf"),
+            pytest.param(None, {"funcs": [[[0.0, 5000e6]]]}, [], id="step-freq-off-table"),
             pytest.param(_set(("tasks", 0, "dist"), {"kind": "histogram", "bin_size": 300_000_000,
                                                      "probs": [math.nan, 1.0]}),
                          None, [], id="histogram-prob-nan"),
@@ -347,3 +360,50 @@ class TestSoftDeadlineExperiments:
         cfg = self.experiment(tmp_path, soft_eps=0.2)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 2
         assert "soft_eps" in capsys.readouterr().err
+
+
+class TestMalformedFiles:
+    """A file of the wrong shape is invalid input (exit 2), never a verdict (0 or 1)."""
+
+    @pytest.mark.parametrize(
+        "command,target,patch,key",
+        [
+            pytest.param("simulate", "exp", _set(("strategies",), []), "strategies",
+                         id="no-strategies"),
+            pytest.param("sweep", "exp", _set(("strategies",), []), "strategies",
+                         id="no-strategies-sweep"),
+            pytest.param("simulate", "exp", _set(("strategies",), "x"), None,
+                         id="strategies-string"),
+            pytest.param("simulate", "exp", _set(("simulation",), []), None,
+                         id="simulation-list"),
+            pytest.param("simulate", "exp", _set(("strategies", 0, "params"), [1]), None,
+                         id="params-list"),
+            pytest.param("simulate", "exp", _set(("strategies", 0, "params"), {"betas": [1]}),
+                         "betas", id="params-unknown-key"),
+            pytest.param("sweep", "exp", _set(("simulation", "n_frame"), 5), "n_frame",
+                         id="simulation-unknown-key"),
+            pytest.param("check", "sys", _set(("cpu",), []), None, id="system-cpu-list"),
+            pytest.param("check", "sys", _set(("tasks", 0, "dist"), []), None,
+                         id="system-dist-list"),
+            pytest.param("check", "strategy", _set(("funcs",), 5), None,
+                         id="strategy-funcs-int"),
+        ],
+    )
+    def test_exits_two_naming_the_file(self, tmp_path, capsys, command, target, patch, key):
+        files = {
+            "exp": TestCmdSimulateSweep().experiment(tmp_path),
+            "sys": write_json(tmp_path / "sys.json", small_system_dict(wcecs=(600_000_000,))),
+            "strategy": write_json(tmp_path / "strategy.json", {"funcs": [[[0.0, 1000e6]]]}),
+        }
+        d = json.loads(files[target].read_text())
+        patch(d)
+        write_json(files[target], d)
+        if command == "check":
+            argv = ["check", "--system", str(files["sys"]), "--strategy", str(files["strategy"])]
+        else:
+            argv = [command, "--config", str(files["exp"]), "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(files[target]) in err
+        if key is not None:
+            assert key in err

@@ -7,9 +7,12 @@ import pytest
 
 from framedvs import (
     FrequencyTable,
+    InfeasibleSystemError,
     Schedulability,
     SpeedRangeError,
     StepFunction,
+    build_limit,
+    danger_zones,
     eval_step,
     normalize_steps,
     quantize,
@@ -133,6 +136,24 @@ class TestValidateSystem:
     def test_depends(self):
         cpu = FrequencyTable((150.0, 1000.0), (0.1, 1.0))
         assert validate_system(make_system((100, 200, 300), 1.0, cpu)) is Schedulability.DEPENDS
+
+    @pytest.mark.parametrize(
+        "wcecs,deadline",
+        [
+            pytest.param((671263, 336117, 573649), math.nextafter(1581029 / 1e9, 0.0),
+                         id="total-over-by-one-rounding-but-zones-fit"),
+            pytest.param((850624, 636962, 511136), 1998722 / 1e9,
+                         id="total-fits-but-zone-chain-rounds-negative"),
+        ],
+    )
+    def test_never_exactly_when_builders_refuse(self, wcecs, deadline):
+        sysd = make_system(wcecs, deadline, FrequencyTable((150e6, 400e6, 1000e6), (0.1, 0.3, 1.0)))
+        try:
+            build_limit(sysd, danger_zones(sysd))
+            feasible = True
+        except InfeasibleSystemError:
+            feasible = False
+        assert (validate_system(sysd) is Schedulability.NEVER) is not feasible
 
 
 class TestFrequencyTable:

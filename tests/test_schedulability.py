@@ -195,6 +195,15 @@ class TestCheck:
         with pytest.raises(ValueError):
             check(sysd, StrategySet((StepFunction(((0.0, 1000.0),)),)), danger_zones(sysd))
 
+    def test_speed_off_the_table_rejected(self):
+        """A step no CPU mode can run backs no verdict, however fast it is."""
+        sysd = make_system((100, 200), 1.0)
+        fast = StrategySet(tuple(StepFunction(((0.0, 5000.0),)) for _ in range(2)))
+        with pytest.raises(ValueError, match="not in the table"):
+            check(sysd, fast, danger_zones(sysd))
+        with pytest.raises(ValueError, match="not in the table"):
+            recheck_prefix(sysd, fast, 0, 100)
+
 
 class TestSufficientModeSoundness:
     """The sufficient-mode check must keep simulated frames safe.
@@ -292,6 +301,13 @@ class TestRecheckPrefix:
             recheck_prefix(sysd, strat, 5, 100)
         with pytest.raises(ValueError):
             recheck_prefix(sysd, strat, 0, 0)
+
+    def test_fractional_wcec_rejected_not_truncated(self):
+        sysd = make_system((120_000,), 200.0)
+        strat = build_limit(sysd, danger_zones(sysd))
+        assert recheck_prefix(sysd, strat, 0, 120_000.0).schedulable
+        with pytest.raises(ValueError, match="not an integer"):
+            recheck_prefix(sysd, strat, 0, 120_000.7)
 
 
 class TestCheckMatchesOracle:
