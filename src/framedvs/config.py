@@ -64,8 +64,16 @@ def _dist_to_dict(dist: CycleDistribution) -> dict:
     raise ValueError("only uniform and histogram distributions serialize to config")
 
 
+def _refuse_unknown(section: str, d: dict, known: set[str]) -> None:
+    unknown = d.keys() - known
+    if unknown:
+        raise ValueError(f"unknown {section} keys {sorted(unknown)}")
+
+
 def system_from_dict(d: dict, base: Path | None = None) -> FrameSystem:
+    _refuse_unknown("system", d, {"deadline_s", "cpu", "tasks", "notes"})
     cpu_d = d["cpu"]
+    _refuse_unknown("cpu", cpu_d, {"freqs_mhz", "power_w", "pt_matrix_s", "st_vector_s"})
     freqs = tuple(float(f) * MHZ for f in cpu_d["freqs_mhz"])
     power = tuple(float(p) for p in cpu_d["power_w"])
     pt = tuple(tuple(float(x) for x in row) for row in cpu_d.get("pt_matrix_s", ()))
@@ -73,6 +81,7 @@ def system_from_dict(d: dict, base: Path | None = None) -> FrameSystem:
     cpu = FrequencyTable(freqs, power, pt, st)
     tasks = []
     for k, td in enumerate(d["tasks"]):
+        _refuse_unknown("task", td, {"wcec", "dist", "label"})
         dist = _dist_from_dict(td["dist"], base)
         tasks.append(TaskSpec(td["wcec"], dist, label=td.get("label", f"T{k + 1}")))
     return FrameSystem(tuple(tasks), float(d["deadline_s"]), cpu)
@@ -207,9 +216,9 @@ def _count(key: str, v) -> int:
 
 
 def experiment_from_dict(d: dict, base: Path | None = None) -> ExperimentConfig:
-    unknown = d.keys() - {"system", "system_file", "strategies", "simulation", "sweep"}
-    if unknown:
-        raise ValueError(f"unknown experiment keys {sorted(unknown)}")
+    _refuse_unknown("experiment", d, {"system", "system_file", "strategies", "simulation", "sweep"})
+    if "system" in d and "system_file" in d:
+        raise ValueError("experiment has both system and system_file; give one")
     if "system_file" in d:
         path = Path(d["system_file"])
         if base is not None and not path.is_absolute():

@@ -66,6 +66,48 @@ def as_cycle_array(counts) -> np.ndarray:
     return v.astype(np.int64)
 
 
+# _exact_sum works through its input in blocks of this many elements, so its
+# temporaries stay a few MB however long the input is
+_SUM_BLOCK = 65_536
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """``math.fsum(a)`` without boxing each element; ``a`` is float64.
+
+    Every finite value is q * 2**(e - 53) with q a 53-bit integer. Per
+    block, q is split into three 18-bit limbs (the top one signed), and
+    each limb is summed per exponent by ``np.bincount``. Those float64
+    sums are exact, because every partial sum is an integer below
+    2**16 * 2**18 < 2**53. Python ints merge the blocks exactly at the
+    running minimum exponent, and one int/int division rounds once, so
+    the result is the correctly rounded sum, which is unique: the same
+    bits as ``math.fsum``. Short inputs go to ``math.fsum`` directly,
+    which is cheaper there.
+    """
+    if len(a) < 1024:
+        return math.fsum(a)
+    total, e0 = 0, 0  # the sum so far is total * 2**(e0 - 53), e0 <= 0
+    for i in range(0, len(a), _SUM_BLOCK):
+        block = a[i:i + _SUM_BLOCK]
+        if not np.isfinite(block).all():
+            return math.fsum(a)
+        mant, exp = np.frexp(block)
+        q = (mant * 2.0**53).astype(np.int64)
+        e = int(exp.min(initial=0))
+        exp = exp.astype(np.intp) - e  # bincount casts any other index type per call
+        high = np.bincount(exp, q >> 36).tolist()
+        mid = np.bincount(exp, q >> 18 & 0x3FFFF).tolist()
+        low = np.bincount(exp, q & 0x3FFFF).tolist()
+        part = sum(
+            ((int(h) << 36) + (int(m) << 18) + int(lo)) << j
+            for j, (h, m, lo) in enumerate(zip(high, mid, low))
+        )
+        if e < e0:
+            total, e0 = total << (e0 - e), e
+        total += part << (e - e0)
+    return total / (1 << (53 - e0))
+
+
 @dataclass(frozen=True)
 class FrequencyTable:
     """Discrete CPU speeds with per-mode power and switch-time penalties.
@@ -204,6 +246,12 @@ class FrameSystem:
             return [[mode_of[f] for _, f in fn.points] for fn in strategy.funcs]
         except KeyError as e:
             raise ValueError(f"frequency {e.args[0]!r} is not in the table") from None
+
+    def check_speeds(self, strategy: "StrategySet") -> None:
+        """The ``step_modes`` check without building its lists."""
+        speeds = {f for fn in strategy.funcs for _, f in fn.points}
+        if len(strategy) != self.n_tasks or not speeds <= self.cpu.mode_of.keys():
+            self.step_modes(strategy)  # raises the ValueError that names the problem
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .core import (
     FrameSystem,
     InfeasibleSystemError,
     StrategySet,
+    _exact_sum,
     as_cycles,
 )
 # danger_zones has no caller here; it stays for the per-layer tracer in perfbench/
@@ -146,33 +147,6 @@ def run_frame(
         switch_time_total=float(switch[0]),
         missed=bool(missed[0]),
     )
-
-
-def _exact_sum(a: np.ndarray) -> float:
-    """``math.fsum(a)`` without boxing each element; ``a`` is float64.
-
-    Every finite value is q * 2**(e - 53) with q a 53-bit integer. q is
-    split into three 18-bit limbs (the top one signed), and each limb is
-    summed per exponent by ``np.bincount``. Those float64 sums are exact,
-    because every partial sum is an integer below n * 2**18 < 2**53 for
-    n < 2**35. Python ints combine them exactly and one int/int division
-    rounds once, so the result is the correctly rounded sum, which is
-    unique: the same bits as ``math.fsum``.
-    """
-    if not np.isfinite(a).all():
-        return math.fsum(a)
-    mant, exp = np.frexp(a)
-    q = (mant * 2.0**53).astype(np.int64)
-    e0 = int(exp.min(initial=0))  # <= 0; an empty array sums to 0.0
-    exp = exp.astype(np.intp) - e0  # bincount casts any other index type per call
-    high = np.bincount(exp, q >> 36).tolist()
-    mid = np.bincount(exp, q >> 18 & 0x3FFFF).tolist()
-    low = np.bincount(exp, q & 0x3FFFF).tolist()
-    total = sum(
-        ((int(h) << 36) + (int(m) << 18) + int(lo)) << j
-        for j, (h, m, lo) in enumerate(zip(high, mid, low))
-    )
-    return total / (1 << (53 - e0))  # the sum is total * 2**(e0 - 53)
 
 
 def _stats(energy, switch, changes, missed) -> SimStats:

@@ -6,8 +6,9 @@ Histogram semantics: bin k holds the probability of using between
 (k-1)*b cycles exclusive and k*b cycles inclusive. Samples, moments and
 percentiles use the bin's upper edge, which never understates load.
 
-Convolution is numpy-only: one FFT product on a shared integer grid,
-read back only on the exact support of the sum.
+Convolution is numpy-only: running sums on a shared integer grid, one
+cumulative sum per task and one shifted difference per run of equal
+mass, read back only on the exact support of the sum.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .core import CapExceededError, as_cycle_array, as_cycles
+from .core import CapExceededError, _exact_sum, as_cycle_array, as_cycles
 
 if TYPE_CHECKING:
     from .core import FrameSystem
@@ -85,7 +86,7 @@ class CycleDistribution:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if not (probs >= 0).all():  # also rejects NaN; inf fails the sum
             raise ValueError("probabilities must be nonnegative")
-        if abs(math.fsum(probs) - 1.0) > _PROB_TOL:
+        if abs(_exact_sum(probs) - 1.0) > _PROB_TOL:
             raise ValueError("probabilities must sum to 1")
 
     def __eq__(self, other: object) -> bool:  # field by field, atom arrays elementwise
@@ -248,11 +249,13 @@ def _run_sum(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
     """Runs of the Minkowski sum of two run sets; touching runs merge."""
     if len(a) * len(b) > cap:
         raise CapExceededError("convolution support exceeds cap")
-    pairs = (a[:, None] + b[None]).reshape(-1, 2)
-    pairs = pairs[np.argsort(pairs[:, 0])]
-    reach = np.maximum.accumulate(pairs[:, 1])
-    new = np.flatnonzero(np.append(True, pairs[1:, 0] > reach[:-1] + 1))
-    return np.column_stack((pairs[new, 0], reach[np.append(new[1:], len(pairs)) - 1]))
+    # each run of b adds a sorted block of starts, which a stable sort merges fast
+    first = (b[:, :1] + a[:, 0]).ravel()
+    last = (b[:, 1:] + a[:, 1]).ravel()
+    order = np.argsort(first, kind="stable")
+    first, last = first[order], np.maximum.accumulate(last[order])
+    cut = np.flatnonzero(first[1:] > last[:-1] + 1)
+    return np.column_stack((first[np.append(0, cut + 1)], last[np.append(cut, -1)]))
 
 
 def convolve(
@@ -261,11 +264,15 @@ def convolve(
     """Exact distribution of the sum of independent cycle demands.
 
     Every task's mass lies on one integer grid whose stride is the gcd
-    of all support gaps. The product of all rfft spectra at one padded
-    length gives the sum's mass in a single irfft, which is read, clipped
-    at 0 and normalised, only on the sum's exact support: the Minkowski
-    sum of each task's runs of consecutive grid indices. Raises
-    ``CapExceededError`` when the grid or the run pairs exceed ``cap``.
+    of all support gaps, where it splits into runs of consecutive
+    indices with equal mass. Adding a run [s, e] of mass a to a partial
+    sum whose cumulative masses are C adds a * (C[x-s] - C[x-e-1]) at
+    each x (running sums: P. Heckbert, "Filtering by Repeated
+    Integration", SIGGRAPH 1986). A float cumulative sum of nonnegative
+    masses never decreases, so every term is >= 0 and none lands off
+    the sum's exact support: the Minkowski sum of each task's runs of
+    consecutive grid indices, where the masses are read and normalised.
+    Raises ``CapExceededError`` when the grid or the run pairs exceed ``cap``.
     """
     dists = list(dists)
     if not dists:
@@ -275,25 +282,44 @@ def convolve(
         raise CapExceededError("convolution support exceeds cap")
     atoms = [d.atoms() for d in dists]
     stride = int(np.gcd.reduce(np.concatenate([np.diff(v) for v, _ in atoms]))) or 1
+    offset = sum(int(v[0]) for v, _ in atoms)
     idx = [(v - v[0]) // stride for v, _ in atoms]
     size = sum(int(k[-1]) for k in idx) + 1
     if size > cap:
         raise CapExceededError("convolution support exceeds cap")
-    # FFT length: the smallest 2**a * 3**i * 5**j >= size, which numpy runs fast
-    odd = [3**i * 5**j for i in range(16) for j in range(11)]
-    n = min(m << ((size - 1) // m).bit_length() for m in odd)
-    spectrum = np.ones(n // 2 + 1, dtype=np.complex128)
     runs = np.zeros((1, 2), dtype=np.int64)
-    for k, (_, p) in zip(idx, atoms):
-        spectrum *= np.fft.rfft(np.bincount(k, p), n)
+    for k in idx:
         runs = _run_sum(runs, _runs(k), cap)
+    grids = [np.bincount(k, p) for k, (_, p) in zip(idx, atoms)]
+    del atoms, idx  # on xscale these hold 35 MB the sum no longer needs
+    # C[i] is mass[pad + i]; the zeros in front stand for C[i < 0]
+    pad = max(len(g) for g in grids)
+    mass, out, term = np.zeros(pad + size), np.zeros(pad + size), np.empty(size)
+    mass[pad] = 1.0  # the empty sum
+    reach = 0  # the partial sum's mass lies on grid indices 0..reach
+    for grid in grids:
+        n = reach + len(grid)
+        np.cumsum(mass[pad:pad + n], out=mass[pad:pad + n])
+        out[pad:pad + n] = 0.0
+        first = np.flatnonzero(np.append(True, grid[1:] != grid[:-1]))
+        stop = np.append(first[1:], len(grid))
+        for s, t, a in zip(first.tolist(), stop.tolist(), grid[first].tolist()):
+            if a == 0.0:
+                continue
+            # run s..t-1 adds a * (C[i] - C[i - (t - s)]) at x = s + i, nonzero for i < m
+            m = t - s + reach
+            diff = np.subtract(mass[pad:pad + m], mass[pad + s - t:pad + reach], out=term[:m])
+            out[pad + s:pad + s + m] += np.multiply(diff, a, out=diff)
+        mass, out, reach = out, mass, n - 1
+    del grids, out, term  # 37 MB on xscale, freed before the result is copied
     lengths = runs[:, 1] - runs[:, 0] + 1
     support = np.repeat(runs[:, 0] - np.cumsum(lengths) + lengths, lengths)
     support += np.arange(len(support))
-    mass = np.clip(np.fft.irfft(spectrum, n)[support], 0.0, None)
+    mass = mass[pad:][support]
     mass /= mass.sum()
-    offset = sum(int(v[0]) for v, _ in atoms)
-    return CycleDistribution("points", values=offset + stride * support, probs=mass)
+    support *= stride
+    support += offset
+    return CycleDistribution("points", values=support, probs=mass)
 
 
 @dataclass(frozen=True)

@@ -407,3 +407,33 @@ class TestMalformedFiles:
         assert str(files[target]) in err
         if key is not None:
             assert key in err
+
+    @pytest.mark.parametrize(
+        "patch,key",
+        [
+            pytest.param(_set(("cpu", "pt_matrix"), [[0.0, 1e-4, 2e-4, 3e-4]] * 4), "pt_matrix",
+                         id="cpu-pt_matrix-typo"),
+            pytest.param(_set(("deadline",), 0.02), "deadline", id="top-level-typo"),
+            pytest.param(_set(("tasks", 2, "lable"), "x"), "lable", id="task-typo"),
+        ],
+    )
+    def test_system_unknown_key_exits_two(self, tmp_path, capsys, patch, key):
+        """A typo must not quietly change the model, e.g. drop every switch penalty."""
+        d = json.loads((CONFIGS / "ppc405.json").read_text())
+        patch(d)
+        path = write_json(tmp_path / "ppc405.json", d)
+        assert main(["soft-deadline", "--system", str(path), "--eps", "0.05"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert key in err
+
+    def test_system_and_system_file_together_exit_two(self, tmp_path, capsys):
+        exp = TestCmdSimulateSweep().experiment(tmp_path)
+        d = json.loads(exp.read_text())
+        write_json(tmp_path / "sys.json", d["system"])
+        d["system"], d["system_file"] = {"bogus": 1}, "sys.json"
+        write_json(exp, d)
+        assert main(["simulate", "--config", str(exp), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(exp) in err
+        assert "system_file" in err

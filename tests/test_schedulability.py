@@ -204,6 +204,17 @@ class TestCheck:
         with pytest.raises(ValueError, match="not in the table"):
             recheck_prefix(sysd, fast, 0, 100)
 
+    def test_speed_check_names_the_first_bad_step(self):
+        sysd = make_system((100, 200), 1.0)
+        mixed = StrategySet((StepFunction(((0.0, 150.0), (0.1, 700.0))),
+                             StepFunction(((0.0, 900.0),))))
+        for run in (lambda s: check(sysd, s, danger_zones(sysd)),
+                    lambda s: recheck_prefix(sysd, s, 0, 100)):
+            with pytest.raises(ValueError, match="frequency 700.0 is not in the table"):
+                run(mixed)
+            with pytest.raises(ValueError, match="strategy length does not match task count"):
+                run(StrategySet(mixed.funcs[:1]))
+
 
 class TestSufficientModeSoundness:
     """The sufficient-mode check must keep simulated frames safe.

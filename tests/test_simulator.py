@@ -260,6 +260,45 @@ class TestExactSum:
             _exact_sum(np.array([np.inf, -np.inf]))
 
 
+class TestBlockedExactSum:
+    """Long inputs are summed in blocks of 65,536 and short ones by math.fsum;
+    either way the bits, the sign of zero included, are math.fsum's."""
+
+    LENGTHS = (1, 1023, 1024, 65535, 65536, 65537, 200_001)
+
+    def arrays(self, n):
+        rng = np.random.default_rng(n)
+        sign = rng.choice([-1.0, 1.0], n)
+        yield sign * rng.uniform(1.0, 2.0, n) * 2.0 ** rng.integers(-1074, 1001, n)
+        yield rng.integers(-1000, 1000, n) * 5e-324  # subnormals
+        yield rng.choice([0.0, -0.0], n)
+        yield np.full(n, -0.0)
+        # large terms that cancel exactly, around a residue far below them
+        half = n // 2
+        x = sign[:half] * rng.uniform(0.0, 1.0, half) * 2.0 ** rng.integers(-30, 1000, half)
+        tiny = rng.uniform(-1.0, 1.0, n - 2 * half) * 2.0**-1060
+        yield rng.permutation(np.concatenate([x, -x, tiny]))
+        yield np.concatenate([np.full(half, 0.1), np.full(n - half, -0.1)])
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_bits_equal_fsum(self, n):
+        for a in self.arrays(n):
+            assert len(a) == n
+            got, want = _exact_sum(a), math.fsum(a)
+            assert type(got) is float
+            assert got.hex() == want.hex(), (n, a[:4], got, want)
+
+    def test_memory_is_bounded_by_the_block(self):
+        a = np.random.default_rng(3).random(1_500_000)
+        tracemalloc.start()
+        try:
+            _exact_sum(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 def test_sweeps_with_overheads_never_miss():
     """With overheads on, the builders budget for the switch costs the run charges."""
     rng = np.random.default_rng(0)

@@ -4,11 +4,13 @@ import math
 import pickle
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from framedvs import CycleDistribution, bin_trace, convolve, soft_deadline
+from framedvs.config import load_system
 from framedvs.core import CapExceededError, FrameSystem, FrequencyTable, TaskSpec
 
 
@@ -255,6 +257,49 @@ class TestConvolve:
         assert len(convolve([a, a], cap=2500).values) > 51
         with pytest.raises(CapExceededError):
             convolve([a, a], cap=2499)
+
+
+class TestRunningSums:
+    """Convolution adds each run of equal mass as a difference of running sums."""
+
+    def kernel(self, rng):
+        """A histogram or points distribution with several runs of equal mass,
+        masses spread over hundreds of decades, some runs empty."""
+        n_runs = int(rng.integers(2, 6))
+        levels = 10.0 ** -rng.integers(0, 300, n_runs) * rng.uniform(1, 2, n_runs)
+        levels[rng.random(n_runs) < 0.3] = 0.0
+        levels[-1] = rng.uniform(0.1, 1)  # the last run is never empty
+        mass = np.repeat(levels, rng.integers(1, 8, n_runs))
+        if rng.random() < 0.5:
+            return CycleDistribution.histogram(int(rng.integers(1, 4)), mass / mass.sum())
+        keep = mass > 0
+        values = int(rng.integers(1, 30)) + np.flatnonzero(keep)
+        return CycleDistribution("points", values=values, probs=mass[keep] / mass[keep].sum())
+
+    def test_masses_nonnegative_and_exact(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            dists = [self.kernel(rng) for _ in range(int(rng.integers(2, 4)))]
+            got = convolve(dists)
+            assert (got.probs >= 0).all()
+            assert dict(zip(got.values, got.probs)) == pytest.approx(brute_force(dists), abs=1e-12)
+
+    def test_xscale_soft_deadline_pinned(self):
+        """Recorded in perfbench/golden.json and checked exactly by its soft-deadline workload."""
+        xscale = load_system(Path(__file__).resolve().parent.parent / "configs" / "xscale.json")
+        recorded = {
+            0.01: (1690775, [119000, 198600, 148850, 258200, 89350, 168800,
+                             297900, 139000, 208600, 109200, 178750, 218450]),
+            0.05: (1604802, [115000, 193000, 144250, 251000, 86750, 164000,
+                             289500, 135000, 203000, 106000, 173750, 212250]),
+            0.1: (1557369, [110000, 186000, 138500, 242000, 83500, 158000,
+                            279000, 130000, 196000, 102000, 167500, 204500]),
+            0.2: (1498845, [100000, 172000, 127000, 224000, 77000, 146000,
+                            258000, 120000, 182000, 94000, 155000, 189000]),
+        }
+        for eps, (frame, kappa) in recorded.items():
+            r = soft_deadline(xscale, eps)
+            assert (r.frame_percentile, list(r.kappa)) == (frame, kappa), eps
 
 
 class TestRanges:
