@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 1_000_000
+# rows per run_frames block: its temporaries (128 KiB each) stay in cache
+_FRAME_BLOCK = 16_384
 
 Builder = Callable[[FrameSystem, DangerZones], StrategySet]
 
@@ -71,55 +73,73 @@ def run_frames(
     strategy: StrategySet,
     cycles: np.ndarray,
     overheads: bool = False,
+    finish: np.ndarray | None = None,
 ):
-    """Execute many frames at once.
+    """Execute many frames at once, ``_FRAME_BLOCK`` rows at a time.
 
     ``cycles`` has one row per frame and one column per task; a
     column-major matrix (as ``sample_cycles`` returns) reads each task's
-    column contiguously. Returns (finish_times, energy, switch_time,
-    frequency_changes, missed) arrays; ``finish_times`` is column-major.
-    A task's step lookup costs one comparison per step of its function.
+    column contiguously. Returns (finish, energy, switch_time,
+    frequency_changes, missed). ``finish`` is an optional output array,
+    as in numpy's ``out=``: a (frames, tasks) float64 array is filled
+    with each task's finish times and returned; with None, the default,
+    none are computed and None is returned.
+
+    Frames are independent, and each block keeps every frame's float
+    operations in order, so no output depends on the block size. Memory
+    is one block per temporary plus the full-length outputs. A task's
+    step lookup costs one comparison per step of its function.
     """
     modes = sys.step_modes(strategy)
     cycles = np.asarray(cycles, dtype=np.float64)
     if cycles.ndim != 2 or cycles.shape[1] != sys.n_tasks:
         raise ValueError("cycles must be (frames, tasks)")
+    if finish is not None and (finish.shape != cycles.shape or finish.dtype != np.float64):
+        raise ValueError("finish must be a float64 array shaped like cycles")
     cpu = sys.cpu
     freqs = np.asarray(cpu.freqs)
     power = np.asarray(cpu.power)
     m = cpu.n_modes
     cost_of = np.ravel(cpu.switch_cost)  # switch cost of prev -> fi at [prev * m + fi]
+    # each function's step times after the first (which is 0) and its mode indices
+    steps = [
+        ([s for s, _ in fn.points[1:]], np.asarray(modes[i], dtype=np.int64))
+        for i, fn in enumerate(strategy.funcs)
+    ]
     n = cycles.shape[0]
-    t = np.zeros(n)
     energy = np.zeros(n)
     switch = np.zeros(n)
     changes = np.zeros(n, dtype=np.int64)
-    finish = np.empty((n, sys.n_tasks), order="F")
-    k = np.empty(n, dtype=np.int64)
-    exec_t = np.empty(n)
-    prev_idx = None
-    for i, fn in enumerate(strategy.funcs):
-        times = np.asarray([s for s, _ in fn.points])
-        fidx = np.asarray(modes[i], dtype=np.int64)
-        # index of the last step time <= t, as searchsorted(side="right") - 1
-        # gives: times[0] == 0 and the times increase, so count those above t
-        # (a tie takes the later step; a NaN start, sorted last, the last one)
-        k.fill(len(times) - 1)
-        for x in times[1:]:
-            k -= t < x
-        fi = fidx[k]
-        if prev_idx is not None:
-            changes += fi != prev_idx
-            if overheads:
-                cost = cost_of[prev_idx * m + fi]
-                t += cost
-                switch += cost
-        np.divide(cycles[:, i], freqs[fi], out=exec_t)
-        energy += power[fi] * exec_t
-        t += exec_t
-        finish[:, i] = t
-        prev_idx = fi
-    missed = t > sys.deadline
+    missed = np.empty(n, dtype=bool)
+    size = min(n, _FRAME_BLOCK)
+    t_buf, exec_buf, k_buf = np.empty(size), np.empty(size), np.empty(size, dtype=np.int64)
+    for lo in range(0, n, _FRAME_BLOCK):
+        hi = min(lo + _FRAME_BLOCK, n)
+        t, exec_t, k = t_buf[: hi - lo], exec_buf[: hi - lo], k_buf[: hi - lo]
+        e, sw, ch = energy[lo:hi], switch[lo:hi], changes[lo:hi]
+        t.fill(0.0)
+        prev_idx = None
+        for i, (times, fidx) in enumerate(steps):
+            # index of the last step time <= t, as searchsorted(side="right") - 1
+            # gives: the times after the first (0) increase, so count those above t
+            # (a tie takes the later step; a NaN start, sorted last, the last one)
+            k.fill(len(times))
+            for x in times:
+                k -= t < x
+            fi = fidx[k]
+            if prev_idx is not None:
+                ch += fi != prev_idx
+                if overheads:
+                    cost = cost_of[prev_idx * m + fi]
+                    t += cost
+                    sw += cost
+            np.divide(cycles[lo:hi, i], freqs[fi], out=exec_t)
+            e += power[fi] * exec_t
+            t += exec_t
+            if finish is not None:
+                finish[lo:hi, i] = t
+            prev_idx = fi
+        np.greater(t, sys.deadline, out=missed[lo:hi])
     return finish, energy, switch, changes, missed
 
 
@@ -139,7 +159,7 @@ def run_frame(
         if c > task.wcec:
             raise ValueError("cycle demand exceeds the task's worst case")
     finish, energy, switch, _, missed = run_frames(
-        sys, strategy, np.asarray([cycles], dtype=np.float64), overheads
+        sys, strategy, np.asarray([cycles], dtype=np.float64), overheads, np.empty((1, len(cycles)))
     )
     return FrameResult(
         finish_times=tuple(float(x) for x in finish[0]),

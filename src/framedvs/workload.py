@@ -48,7 +48,8 @@ class CycleDistribution:
     bins of ``bin_size`` cycles with ``probs[k-1]`` the mass of bin k;
     draws and moments land on bin upper edges. kind="points": explicit
     atoms (convolution results, truncations). ``values`` (int64) and
-    ``probs`` (float64) are read-only copies of the arguments.
+    ``probs`` (float64) are read-only copies of the arguments;
+    ``convolve`` hands over its own arrays through ``_trusted``.
     """
 
     kind: str
@@ -101,6 +102,22 @@ class CycleDistribution:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray, probs: np.ndarray) -> "CycleDistribution":
+        """A points distribution on arrays that are valid by construction.
+
+        ``values`` must be int64, positive and strictly increasing, and
+        ``probs`` float64, nonnegative and summing to 1. Both are marked
+        read-only in place, neither copied nor checked; copies and pickles
+        go through ``__reduce__`` and are checked.
+        """
+        self = object.__new__(cls)
+        defaults = {f.name: f.default for f in fields(cls)}
+        self.__dict__.update(defaults, kind="points", values=values, probs=probs)
+        values.setflags(write=False)
+        probs.setflags(write=False)
+        return self
 
     @classmethod
     def uniform(cls, lo: int, hi: int) -> "CycleDistribution":
@@ -319,7 +336,7 @@ def convolve(
     mass /= mass.sum()
     support *= stride
     support += offset
-    return CycleDistribution("points", values=support, probs=mass)
+    return CycleDistribution._trusted(support, mass)
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,10 @@ class TestAgainstEnumeration:
                 for i, w in enumerate(rep.witness):
                     cycles = [float(t.wcec) for t in sysd.tasks]
                     cycles[: i + 1] = w
-                    fin, *_ = run_frames(sysd, strat, np.array([cycles]), overheads=True)
+                    fin, *_ = run_frames(
+                        sysd, strat, np.array([cycles]), overheads=True,
+                        finish=np.empty((1, sysd.n_tasks)),
+                    )
                     starts = [0.0, *fin[0, :i]]
                     on_step = any(
                         abs(t - bt) <= 1e-9 * bt
@@ -164,7 +167,7 @@ class TestBinnedDemand:
             )
             from framedvs import run_frames
 
-            fin, *_ = run_frames(sysd, strat, cycles.astype(np.float64))
+            fin, *_ = run_frames(sysd, strat, cycles.astype(np.float64), finish=np.empty(cycles.shape))
             for i in range(sysd.n_tasks):
                 assert fin[:, i].max() <= rep.tau[i] + 1e-9
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from framedvs import (
     TaskSpec,
     build_limit,
     danger_zones,
+    discretize,
+    dpms_rule,
     eval_step,
     exact_expectation,
     monte_carlo,
@@ -22,6 +25,7 @@ from framedvs import (
     run_frames,
     sweep_deadlines,
 )
+from framedvs import simulator
 from framedvs.config import load_system
 from framedvs.simulator import _exact_sum, evaluate, sample_cycles
 
@@ -118,7 +122,9 @@ class TestBatchAgainstScalarReplay:
             cycles = np.column_stack(
                 [t.dist.sample_array(rng, 40) for t in sysd.tasks]
             ).astype(np.float64)
-            fin, en, sw, ch, miss = run_frames(sysd, strat, cycles, overheads=True)
+            fin, en, sw, ch, miss = run_frames(
+                sysd, strat, cycles, overheads=True, finish=np.empty(cycles.shape)
+            )
             cpu = sysd.cpu
             for r in range(cycles.shape[0]):
                 t = 0.0
@@ -195,39 +201,111 @@ def scalar_replay(sysd, funcs, cycles, overheads):
     return finish, energies, switches, counts, missed
 
 
+def tie_heavy_cases(rng, n_cases, n_frames=200):
+    """(system, step functions, cycles) triples whose non-monotone step
+    functions of 1-12 steps have step times that earlier tasks' start
+    times reach exactly in some frames (ties pick the later step)."""
+    for _ in range(n_cases):
+        sysd = gen.realistic_feasible_system(rng, n_max=6, with_overheads=True)
+        cycles = sample_cycles(sysd, rng, n_frames)
+        freqs = sysd.cpu.freqs
+        funcs = []
+        for i in range(sysd.n_tasks):
+            n_steps = int(rng.integers(1, 13))
+            times = {float(x) for x in rng.uniform(0.0, 1.2 * sysd.deadline, n_steps)}
+            if i:
+                for ov in (False, True):
+                    starts = np.array(scalar_replay(sysd, funcs, cycles, ov)[0])[:, -1]
+                    times |= {float(x) for x in rng.choice(starts, n_steps // 2)}
+            times = [0.0] + sorted(times - {0.0})[: n_steps - 1]
+            pts = tuple((x, float(freqs[int(rng.integers(len(freqs)))])) for x in times)
+            funcs.append(StepFunction(pts))
+        yield sysd, funcs, cycles
+
+
+def assert_equals_replay(got, want, msg):
+    for g, w in zip(got, want):
+        assert np.array_equal(g, np.array(w)), msg
+        assert g.dtype == np.array(w).dtype, msg
+
+
 class TestExactScalarReplay:
     def test_arbitrary_strategies_bit_identical(self):
-        """run_frames equals the scalar loop with ==, on non-monotone step
-        functions of 1-12 steps whose step times include start times that
-        earlier frames reach exactly (ties pick the later step)."""
-        rng = np.random.default_rng(2024)
+        """run_frames equals the scalar loop with ==, on tie-heavy strategies."""
         ties = 0
-        for case in range(24):
-            sysd = gen.realistic_feasible_system(rng, n_max=6, with_overheads=True)
-            cycles = sample_cycles(sysd, rng, 200)
-            freqs = sysd.cpu.freqs
-            funcs = []
-            for i in range(sysd.n_tasks):
-                n_steps = int(rng.integers(1, 13))
-                times = {float(x) for x in rng.uniform(0.0, 1.2 * sysd.deadline, n_steps)}
-                if i:
-                    for ov in (False, True):
-                        starts = np.array(scalar_replay(sysd, funcs, cycles, ov)[0])[:, -1]
-                        times |= {float(x) for x in rng.choice(starts, n_steps // 2)}
-                times = [0.0] + sorted(times - {0.0})[: n_steps - 1]
-                pts = tuple((x, float(freqs[int(rng.integers(len(freqs)))])) for x in times)
-                funcs.append(StepFunction(pts))
+        for case, (sysd, funcs, cycles) in enumerate(tie_heavy_cases(np.random.default_rng(2024), 24)):
             strat = StrategySet(tuple(funcs))
             for ov in (False, True):
                 want = scalar_replay(sysd, funcs, cycles, ov)
                 starts = np.array(want[0])[:, :-1]
                 ties += sum(int(np.isin(starts[:, i], fn._times).sum()) for i, fn in enumerate(funcs[1:]))
                 for order in ("C", "F"):
-                    got = run_frames(sysd, strat, np.asarray(cycles, order=order), overheads=ov)
-                    for g, w in zip(got, want):
-                        assert np.array_equal(g, np.array(w)), (case, ov, order)
-                        assert g.dtype == np.array(w).dtype
+                    c = np.asarray(cycles, order=order)
+                    got = run_frames(sysd, strat, c, overheads=ov, finish=np.empty(c.shape))
+                    assert_equals_replay(got, want, (case, ov, order))
         assert ties > 100, "too few start times land exactly on a step time"
+
+    @pytest.mark.parametrize("block", [1, 7, 16_384, None])
+    def test_block_size_does_not_change_outputs(self, monkeypatch, block):
+        """Every block size, a block of all frames (None) included, gives the
+        scalar loop's bits; 1 and 7 put block edges between tied frames."""
+        for case, (sysd, funcs, cycles) in enumerate(tie_heavy_cases(np.random.default_rng(11), 6)):
+            monkeypatch.setattr(simulator, "_FRAME_BLOCK", block or len(cycles))
+            strat = StrategySet(tuple(funcs))
+            for ov in (False, True):
+                want = scalar_replay(sysd, funcs, cycles, ov)
+                for order in ("C", "F"):
+                    c = np.asarray(cycles, order=order)
+                    got = run_frames(sysd, strat, c, overheads=ov, finish=np.empty(c.shape))
+                    assert_equals_replay(got, want, (block, case, ov, order))
+
+    def test_finish_is_optional(self, monkeypatch):
+        """Without ``finish`` the other outputs keep their bits; with it, the
+        array passed in is filled and returned, whatever its layout."""
+        monkeypatch.setattr(simulator, "_FRAME_BLOCK", 7)
+        for sysd, funcs, cycles in tie_heavy_cases(np.random.default_rng(12), 6):
+            strat = StrategySet(tuple(funcs))
+            for ov in (False, True):
+                fin, *full = run_frames(sysd, strat, cycles, ov, np.empty(cycles.shape, order="F"))
+                none, *bare = run_frames(sysd, strat, cycles, ov)
+                assert none is None
+                for a, b in zip(full, bare):
+                    assert np.array_equal(a, b) and a.dtype == b.dtype
+                out = np.empty(cycles.shape, order="C")
+                assert run_frames(sysd, strat, cycles, ov, out)[0] is out
+                assert np.array_equal(out, fin)
+        for bad in (np.empty((len(cycles), sysd.n_tasks + 1)), np.empty(cycles.shape, dtype=np.float32)):
+            with pytest.raises(ValueError):
+                run_frames(sysd, strat, cycles, finish=bad)
+
+    def test_aggregate_stats_do_not_depend_on_the_block(self, monkeypatch):
+        """evaluate, monte_carlo and exact_expectation read no finish times,
+        and their stats are equal at two block sizes."""
+        rng = np.random.default_rng(13)
+        sysd = gen.realistic_feasible_system(rng, with_overheads=True)
+        # four histogram bins a task: 4**n outcomes to enumerate, more than a block of 7
+        small = replace(sysd, tasks=tuple(
+            TaskSpec(t.wcec, CycleDistribution.histogram(t.wcec // 4, (0.1, 0.2, 0.3, 0.4)))
+            for t in sysd.tasks
+        ))
+        cycles = sample_cycles(sysd, rng, 3_000)
+        builders = [
+            ("limit", build_limit),
+            ("dpms", lambda s, z: discretize(s, z, dpms_rule(s, "closest"), "closest")),
+        ]
+        small_strat = build_limit(small, danger_zones(small))
+        results = []
+        for block in (16_384, 7):
+            monkeypatch.setattr(simulator, "_FRAME_BLOCK", block)
+            results.append([
+                (
+                    evaluate(sysd, sysd, builders, cycles, ov),
+                    monte_carlo(sysd, build_limit(sysd, danger_zones(sysd)), 2_000, 3, ov),
+                    exact_expectation(small, small_strat, ov),
+                )
+                for ov in (False, True)
+            ])
+        assert results[0] == results[1]
 
 
 class TestExactSum:

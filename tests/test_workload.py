@@ -98,6 +98,25 @@ class TestArrayAtoms:
         with pytest.raises(ValueError):
             c.values[0] = 1
 
+    def test_convolve_result_is_not_copied_or_rechecked(self, monkeypatch):
+        """convolve builds a valid support and marks it read-only in place;
+        a pickled copy of the result is still checked on the way back in."""
+        a, b = CycleDistribution.uniform(1, 3), CycleDistribution.histogram(10, (0.5, 0.5))
+        checked = []
+        post_init = CycleDistribution.__post_init__
+        monkeypatch.setattr(
+            CycleDistribution, "__post_init__", lambda d: checked.append(d.kind) or post_init(d)
+        )
+        c = convolve([a, b])
+        assert checked == []
+        assert (c.kind, c.lo, c.hi, c.bin_size) == ("points", 0, 0, 0)
+        assert c.values.tolist() == [11, 12, 13, 21, 22, 23]
+        for arr in (c.values, c.probs):
+            assert not arr.flags.writeable
+        copied = pickle.loads(pickle.dumps(c))
+        assert checked == ["points"]
+        assert copied == c and not copied.probs.flags.writeable
+
     def test_constructor_copies_caller_arrays(self):
         probs = np.array([0.5, 0.5])
         values = np.array([3, 9])
