@@ -366,6 +366,57 @@ class TestBlockedExactSum:
             assert type(got) is float
             assert got.hex() == want.hex(), (n, a[:4], got, want)
 
+    def fast_path_arrays(self):
+        """Blocks that take the int64 path next to blocks that fall back to
+        bincount, with the limits of the int64 path on either side."""
+        b = 65_536
+        rng = np.random.default_rng(62)
+        fast = rng.uniform(1e-3, 5e-3, b)  # frame energies: within 2**9 of the max
+        wide = rng.choice([-1.0, 1.0], b) * rng.uniform(1.0, 2.0, b) * 2.0 ** rng.integers(-1074, 1001, b)
+        subnormal = rng.integers(-1000, 1000, b) * 5e-324
+        yield np.concatenate([fast, wide, -3.0 * fast, subnormal, fast[:1000]])
+        # 2**-70 times the block maximum is no integer once scaled; the rest
+        # of the block cancels exactly, so that value is the whole sum
+        x = rng.uniform(1.0, 2.0, b // 2 - 1)
+        odd = rng.permutation(np.concatenate([x, -x, [x.max() * 2.0**-70, 0.0]]))
+        yield odd
+        yield np.concatenate([fast, -fast, odd])
+        # maxima just under 2**62 (int64 path, no scaling) and at 2**62 (fallback)
+        for top in (np.nextafter(2.0**62, 0.0), 2.0**62):
+            big = rng.uniform(0.5, 1.0, b) * top
+            big[0] = top
+            yield big  # one int64 sum of these would overflow
+            half = big[2:b // 2]
+            yield rng.permutation(np.concatenate([half, -half, [top, 1024.0 - top, 7.0, -3.0]]))
+        # the lower limit of the int64 path, 2**-961, and just below it
+        for top in (2.0**-961, np.nextafter(2.0**-961, 0.0)):
+            small = rng.uniform(0.5, 1.0, b) * top
+            small[0] = top
+            yield small
+        # negative values set the block's largest magnitude
+        neg = -rng.uniform(1.0, 2.0, b) * 2.0**40
+        neg[::7] *= -0.25
+        yield neg
+        yield np.concatenate([fast, neg, fast])
+        zeros, negzeros = np.zeros(b), np.full(b, -0.0)
+        yield np.concatenate([zeros, fast, negzeros, -fast, negzeros[:10]])
+        yield np.concatenate([negzeros, negzeros, negzeros[:10]])
+        yield np.concatenate([zeros, negzeros, wide[:10]])
+
+    def test_fast_path_bits_equal_fsum(self):
+        for a in self.fast_path_arrays():
+            got, want = _exact_sum(a), math.fsum(a)
+            assert type(got) is float
+            assert got.hex() == want.hex(), (len(a), a[:4], got, want)
+
+    def test_non_finite_after_fast_blocks(self):
+        fast = np.random.default_rng(9).uniform(1e-3, 5e-3, 3 * 65_536)
+        assert math.isnan(_exact_sum(np.concatenate([fast, [2.0, np.nan, 1.0]])))
+        assert _exact_sum(np.concatenate([fast, [2.0, np.inf]])) == math.inf
+        assert _exact_sum(np.concatenate([fast, fast, [-np.inf]])) == -math.inf
+        with pytest.raises(ValueError):  # as math.fsum: inf - inf has no value
+            _exact_sum(np.concatenate([fast, [np.inf], fast, [-np.inf]]))
+
     def test_memory_is_bounded_by_the_block(self):
         a = np.random.default_rng(3).random(1_500_000)
         tracemalloc.start()

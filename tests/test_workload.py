@@ -12,6 +12,7 @@ import pytest
 from framedvs import CycleDistribution, bin_trace, convolve, soft_deadline
 from framedvs.config import load_system
 from framedvs.core import CapExceededError, FrameSystem, FrequencyTable, TaskSpec
+from framedvs.simulator import sample_cycles
 
 
 def end_bins(n_bins):
@@ -58,6 +59,83 @@ class TestSampling:
         d = CycleDistribution.histogram(50, (0.5, 0.5))
         rng = np.random.default_rng(2)
         assert set(np.unique(d.sample_array(rng, 500))) <= {50, 100}
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose ``random`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u
+
+
+def searchsorted_draw(d, u):
+    """Atom draws by binary search over the cdf, capped at the last atom."""
+    vals, mass = d.atoms()
+    cdf = np.cumsum(mass)
+    return vals[np.minimum(np.searchsorted(cdf, u, "right"), len(vals) - 1)]
+
+
+def with_total(probs, above):
+    """``probs`` with the last mass stepped until ``cumsum[-1]`` is just above
+    (or just below) 1."""
+    probs = probs.copy()
+    step = 2.0**-50 if above else -(2.0**-50)
+    while (np.cumsum(probs)[-1] - 1.0) * step <= 0.0:
+        probs[-1] += step
+    return probs
+
+
+class TestCountingDraws:
+    """Up to 128 atoms sample_array counts cdf values instead of searching
+    them; either way each uniform gives the atom that searchsorted gives."""
+
+    def uniforms(self, d, rng):
+        cdf = np.cumsum(d.atoms()[1])
+        at = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)])
+        return np.concatenate([at, [0.0, np.nextafter(1.0, 0.0)], rng.random(100)])
+
+    def dists(self, n, rng):
+        probs = rng.uniform(0.5, 1.0, n)
+        probs /= probs.sum()
+        yield CycleDistribution.histogram(7, probs)
+        # zero-mass atoms repeat cdf values; the first and last atoms keep mass
+        holes = probs * (rng.random(n) < 0.7)
+        holes[[0, -1]] = probs[[0, -1]]
+        holes /= holes.sum()
+        yield CycleDistribution("points", values=np.arange(1, n + 1) * 3, probs=holes)
+        for above, base in ((False, probs), (True, holes)):
+            skewed = with_total(base, above)
+            total = np.cumsum(skewed)[-1]
+            assert (total > 1.0) if above else (total < 1.0)
+            yield CycleDistribution("points", values=np.arange(1, n + 1), probs=skewed)
+
+    def test_same_atoms_as_searchsorted(self):
+        rng = np.random.default_rng(12)
+        for n in range(1, 2001):
+            for d in self.dists(n, rng):
+                u = self.uniforms(d, rng)
+                got = d.sample_array(FixedUniforms(u), len(u))
+                assert np.array_equal(got, searchsorted_draw(d, u)), (n, d.kind)
+
+    @pytest.mark.parametrize("name", ["ppc405", "xscale"])
+    def test_sample_cycles_pinned_to_searchsorted(self, name):
+        system = load_system(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
+        rng = np.random.default_rng(2024)
+        want = np.empty((20_000, system.n_tasks))
+        for i, task in enumerate(system.tasks):
+            d = task.dist
+            u = rng.random(20_000)
+            if d.kind == "uniform":
+                n = d.hi - d.lo + 1
+                want[:, i] = d.lo + np.minimum((u * n).astype(np.int64), n - 1)
+            else:
+                want[:, i] = searchsorted_draw(d, u)
+        got = sample_cycles(system, np.random.default_rng(2024), 20_000)
+        assert np.array_equal(got, want)
 
 
 class TestMoments:
