@@ -9,6 +9,7 @@ only; idle time after the last task consumes no energy.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -87,8 +88,11 @@ def run_frames(
 
     Frames are independent, and each block keeps every frame's float
     operations in order, so no output depends on the block size. Memory
-    is one block per temporary plus the full-length outputs. A task's
-    step lookup costs one comparison per step of its function.
+    is one block per temporary plus the full-length outputs. A task
+    compares its block's start times only with the step times that the
+    block's smallest and largest start straddle; a block whose starts
+    all lie on one step reads that step's speed and power once, as
+    scalars.
     """
     modes = sys.step_modes(strategy)
     cycles = np.asarray(cycles, dtype=np.float64)
@@ -97,15 +101,15 @@ def run_frames(
     if finish is not None and (finish.shape != cycles.shape or finish.dtype != np.float64):
         raise ValueError("finish must be a float64 array shaped like cycles")
     cpu = sys.cpu
-    freqs = np.asarray(cpu.freqs)
-    power = np.asarray(cpu.power)
     m = cpu.n_modes
     cost_of = np.ravel(cpu.switch_cost)  # switch cost of prev -> fi at [prev * m + fi]
-    # each function's step times after the first (which is 0) and its mode indices
-    steps = [
-        ([s for s, _ in fn.points[1:]], np.asarray(modes[i], dtype=np.int64))
-        for i, fn in enumerate(strategy.funcs)
-    ]
+    freqs, power = np.asarray(cpu.freqs), np.asarray(cpu.power)
+    # each function's step times after the first (which is 0), and the mode,
+    # speed and power of each of its steps
+    steps = []
+    for fn, fn_modes in zip(strategy.funcs, modes):
+        fidx = np.asarray(fn_modes, dtype=np.int64)
+        steps.append((fn._times[1:], fidx, freqs[fidx], power[fidx]))
     n = cycles.shape[0]
     energy = np.zeros(n)
     switch = np.zeros(n)
@@ -115,30 +119,45 @@ def run_frames(
     t_buf, exec_buf, k_buf = np.empty(size), np.empty(size), np.empty(size, dtype=np.int64)
     for lo in range(0, n, _FRAME_BLOCK):
         hi = min(lo + _FRAME_BLOCK, n)
-        t, exec_t, k = t_buf[: hi - lo], exec_buf[: hi - lo], k_buf[: hi - lo]
+        t, exec_t, k_arr = t_buf[: hi - lo], exec_buf[: hi - lo], k_buf[: hi - lo]
         e, sw, ch = energy[lo:hi], switch[lo:hi], changes[lo:hi]
         t.fill(0.0)
-        prev_idx = None
-        for i, (times, fidx) in enumerate(steps):
-            # index of the last step time <= t, as searchsorted(side="right") - 1
-            # gives: the times after the first (0) increase, so count those above t
-            # (a tie takes the later step; a NaN start, sorted last, the last one)
-            k.fill(len(times))
-            for x in times:
-                k -= t < x
-            fi = fidx[k]
-            if prev_idx is not None:
-                ch += fi != prev_idx
-                if overheads:
+        prev_f = prev_idx = None
+        for i, (times, fidx, fstep, pstep) in enumerate(steps):
+            # k is the index of the last step time <= t, as
+            # searchsorted(side="right") - 1 gives (a tie takes the later step).
+            # times[:band_lo] are <= every start and times[band_hi:] above every
+            # start, so only the band between is compared; an empty band makes k
+            # one scalar for the whole block. A NaN start (NaN min and max)
+            # compares every step and, like searchsorted, gets the last one.
+            t_min, t_max = float(t.min()), float(t.max())
+            if t_min <= t_max:
+                band_lo, band_hi = bisect_right(times, t_min), bisect_right(times, t_max)
+            else:
+                band_lo, band_hi = 0, len(times)
+            k = band_hi
+            if band_lo < band_hi:
+                k = k_arr
+                k.fill(band_hi)
+                for x in times[band_lo:band_hi]:
+                    k -= t < x
+            f = fstep[k]
+            if prev_f is not None:
+                # speeds are strictly increasing, so equal speed is equal mode
+                ch += f != prev_f
+            if overheads:
+                fi = fidx[k]
+                if prev_idx is not None:
                     cost = cost_of[prev_idx * m + fi]
                     t += cost
                     sw += cost
-            np.divide(cycles[lo:hi, i], freqs[fi], out=exec_t)
-            e += power[fi] * exec_t
+                prev_idx = fi
+            np.divide(cycles[lo:hi, i], f, out=exec_t)
+            e += pstep[k] * exec_t
             t += exec_t
             if finish is not None:
                 finish[lo:hi, i] = t
-            prev_idx = fi
+            prev_f = f
         np.greater(t, sys.deadline, out=missed[lo:hi])
     return finish, energy, switch, changes, missed
 
@@ -296,6 +315,8 @@ def evaluate(
     strategy runs on the same cycle draws. A builder that finds the system
     infeasible maps to None.
     """
+    if len(cycles) < 1:
+        raise ValueError("need at least one frame")
     zones = danger_zones_overhead(build_sys, "sufficient" if overheads else "plain")
     out: dict[str, SimStats | None] = {}
     for name, build in builders:
@@ -331,6 +352,8 @@ def sweep_deadlines(
         raise ValueError("need d_lo < d_hi")
     if n_points < 2:
         raise ValueError("need at least two grid points")
+    if n_frames < 1:
+        raise ValueError("need at least one frame")
     names = [name for name, _ in strategy_builders]
     if baseline is None:
         baseline = names[0]

@@ -195,9 +195,13 @@ class CycleDistribution:
         """
         u = rng.random(size)
         if self.kind == "uniform":
+            # lo + min(int(u * n), n - 1), in place: no full-length temporaries
             n = self.hi - self.lo + 1
-            idx = np.minimum((u * n).astype(np.int64), n - 1)
-            return self.lo + idx
+            u *= n
+            idx = u.astype(np.int64)
+            np.minimum(idx, n - 1, out=idx)
+            idx += self.lo
+            return idx
         vals, mass = self.atoms()
         cdf = np.cumsum(mass)
         if len(vals) > 128:

@@ -224,9 +224,13 @@ def tie_heavy_cases(rng, n_cases, n_frames=200):
 
 
 def assert_equals_replay(got, want, msg):
+    """Each output equals the reference's, dtype and bits included (NaN equals NaN)."""
     for g, w in zip(got, want):
-        assert np.array_equal(g, np.array(w)), msg
-        assert g.dtype == np.array(w).dtype, msg
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.dtype == w.dtype and g.shape == w.shape, msg
+        if g.dtype == np.float64:
+            g, w = g.view(np.int64), w.view(np.int64)
+        assert np.array_equal(g, w), msg
 
 
 class TestExactScalarReplay:
@@ -306,6 +310,165 @@ class TestExactScalarReplay:
                 for ov in (False, True)
             ])
         assert results[0] == results[1]
+
+
+def every_step_run_frames(sys, strategy, cycles, overheads=False, finish=None):
+    """The frame loop that compares every start with every step time and
+    reads speed and power by mode: the reference for the pruned lookup."""
+    modes = sys.step_modes(strategy)
+    cycles = np.asarray(cycles, dtype=np.float64)
+    cpu = sys.cpu
+    freqs, power, m = np.asarray(cpu.freqs), np.asarray(cpu.power), cpu.n_modes
+    cost_of = np.ravel(cpu.switch_cost)
+    n = cycles.shape[0]
+    energy, switch, t = np.zeros(n), np.zeros(n), np.zeros(n)
+    changes = np.zeros(n, dtype=np.int64)
+    prev_idx = None
+    for i, fn in enumerate(strategy.funcs):
+        times = fn._times[1:]
+        k = np.full(n, len(times), dtype=np.int64)
+        for x in times:
+            k -= t < x
+        fi = np.asarray(modes[i], dtype=np.int64)[k]
+        if prev_idx is not None:
+            changes += fi != prev_idx
+            if overheads:
+                cost = cost_of[prev_idx * m + fi]
+                t += cost
+                switch += cost
+        exec_t = cycles[:, i] / freqs[fi]
+        energy += power[fi] * exec_t
+        t += exec_t
+        if finish is not None:
+            finish[:, i] = t
+        prev_idx = fi
+    return finish, energy, switch, changes, t > sys.deadline
+
+
+class TestBandedStepLookup:
+    """run_frames compares a block's starts only with the step times between
+    the block's smallest and largest start, and reads one scalar speed when
+    there are none; every case gives the bits of the compare-every-step loop
+    and of the scalar replay, at block sizes 1, 7 and all frames."""
+
+    CPU = FrequencyTable(
+        (100.0, 200.0, 400.0),
+        (1.0, 3.0, 9.0),
+        ((0.0, 1e-3, 3e-3), (1e-3, 0.0, 2e-3), (2e-3, 1e-3, 0.0)),
+        (1e-4, 2e-4, 3e-4),
+    )
+
+    def system(self, n_tasks):
+        task = TaskSpec(200, CycleDistribution.uniform(100, 200))
+        return FrameSystem((task,) * n_tasks, 10.0, self.CPU)
+
+    def check(self, monkeypatch, sysd, funcs, cycles):
+        strat = StrategySet(tuple(funcs))
+        for block in (1, 7, None):
+            monkeypatch.setattr(simulator, "_FRAME_BLOCK", block or len(cycles))
+            for ov in (False, True):
+                got = run_frames(sysd, strat, cycles, ov, np.empty(cycles.shape))
+                want = every_step_run_frames(sysd, strat, cycles, ov, np.empty(cycles.shape))
+                assert_equals_replay(got, want, (block, ov))
+                assert_equals_replay(got, scalar_replay(sysd, funcs, cycles, ov), (block, ov))
+
+    def cycles(self, n_tasks, n_frames=50, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.integers(100, 201, (n_frames, n_tasks)).astype(np.float64)
+
+    def test_starts_on_one_step(self, monkeypatch):
+        """Task 1 starts in [1, 2] s: every block sits on its middle step, and
+        with 150 cycles every start equals that step's time (the later step)."""
+        sysd = self.system(2)
+        first = StepFunction(((0.0, 100.0),))
+        inside = StepFunction(((0.0, 400.0), (0.5, 200.0), (3.0, 100.0)))
+        self.check(monkeypatch, sysd, [first, inside], self.cycles(2))
+        on = StepFunction(((0.0, 400.0), (1.5, 200.0), (3.0, 100.0)))
+        cycles = np.full((20, 2), 150.0)
+        self.check(monkeypatch, sysd, [first, on], cycles)
+        _, energy, *_ = run_frames(sysd, StrategySet((first, on)), cycles)
+        assert np.all(energy == 1.0 * 1.5 + 3.0 * (150.0 / 200.0))
+
+    def test_block_min_and_max_on_step_times(self, monkeypatch):
+        """Each block of 7 starts has its smallest start on one step time and
+        its largest on the next; ties take the later step."""
+        sysd = self.system(3)
+        pattern = [100.0, 200.0, 150.0, 130.0, 170.0, 100.0, 200.0]
+        cycles = np.column_stack([pattern * 6, np.full(42, 120.0), np.full(42, 160.0)])
+        funcs = [
+            StepFunction(((0.0, 100.0),)),
+            StepFunction(((0.0, 100.0), (1.0, 400.0), (2.0, 200.0))),
+            StepFunction(((0.0, 400.0), (1.0, 100.0), (2.5, 200.0))),
+        ]
+        starts = cycles[:, 0] / 100.0
+        assert starts.min() == 1.0 and starts.max() == 2.0
+        self.check(monkeypatch, sysd, funcs, cycles)
+
+    def test_nan_and_inf_rows(self, monkeypatch):
+        """A NaN start makes a block's min and max NaN: that block compares
+        every step, and the NaN frame takes the last step, as an inf one does."""
+        sysd = self.system(3)
+        cycles = self.cycles(3, seed=1)
+        cycles[3, 0] = np.nan
+        cycles[9, 0] = np.inf
+        cycles[20, 1] = np.nan
+        funcs = [
+            StepFunction(((0.0, 100.0),)),
+            StepFunction(((0.0, 100.0), (1.5, 400.0), (5.0, 200.0))),
+            StepFunction(((0.0, 200.0), (1.8, 100.0), (2.3, 400.0), (20.0, 200.0))),
+        ]
+        self.check(monkeypatch, sysd, funcs, cycles)
+        fin, *_ = run_frames(sysd, StrategySet(tuple(funcs)), cycles, finish=np.empty(cycles.shape))
+        assert np.isnan(fin[3]).all() and np.isinf(fin[9]).all()
+
+    def test_zero_frames(self, monkeypatch):
+        sysd = self.system(2)
+        funcs = StrategySet((StepFunction(((0.0, 100.0),)), StepFunction(((0.0, 100.0), (1.5, 400.0)))))
+        cycles = np.empty((0, 2))
+        for ov in (False, True):
+            got = run_frames(sysd, funcs, cycles, ov, np.empty((0, 2)))
+            assert_equals_replay(got, every_step_run_frames(sysd, funcs, cycles, ov, np.empty((0, 2))), ov)
+            assert [g.dtype for g in got] == [np.float64, np.float64, np.float64, np.int64, bool]
+
+    def test_overheads_with_every_scalar_and_array_mix(self, monkeypatch):
+        """Tasks whose starts straddle a step (array speed) or lie on one step
+        (scalar speed) follow each other in all four orders, so the switch
+        cost is looked up for each mix of previous and current mode."""
+        sysd = self.system(6)
+        cycles = self.cycles(6, n_frames=60, seed=2)
+        kinds = "sAAssA"  # scalar or array lookup of each task
+        funcs = [StepFunction(((0.0, 100.0),))]
+        for i, kind in enumerate(kinds[1:], start=1):
+            starts = np.concatenate([
+                np.array(scalar_replay(sysd, funcs, cycles, ov)[0])[:, -1] for ov in (False, True)
+            ])
+            if kind == "s":
+                times = (0.0, 0.5 * starts.min(), 2.0 * starts.max())
+                speeds = (400.0, 200.0, 100.0)
+            else:
+                times = (0.0, float(np.median(starts)))
+                speeds = (100.0, 400.0) if i % 2 else (200.0, 100.0)
+            funcs.append(StepFunction(tuple(zip(times, speeds))))
+        for ov in (False, True):
+            fin = np.array(scalar_replay(sysd, funcs, cycles, ov)[0])
+            for i, kind in enumerate(kinds[1:], start=1):
+                starts, times = fin[:, i - 1], np.array(funcs[i]._times[1:])
+                straddled = ((times > starts.min()) & (times <= starts.max())).any()
+                assert straddled == (kind == "A"), (i, ov)
+        self.check(monkeypatch, sysd, funcs, cycles)
+
+    def test_first_task_reads_its_first_step(self, monkeypatch):
+        """The first task starts at 0 in every frame, so its steps after the
+        first, however close to 0, never apply."""
+        sysd = self.system(2)
+        funcs = [
+            StepFunction(((0.0, 200.0), (1e-12, 100.0), (0.5, 400.0))),
+            StepFunction(((0.0, 100.0), (0.75, 400.0))),
+        ]
+        cycles = self.cycles(2, seed=3)
+        self.check(monkeypatch, sysd, funcs, cycles)
+        fin, *_ = run_frames(sysd, StrategySet(tuple(funcs)), cycles, finish=np.empty(cycles.shape))
+        assert np.array_equal(fin[:, 0], cycles[:, 0] / 200.0)
 
 
 class TestExactSum:
@@ -630,3 +793,18 @@ class TestSweep:
         a = sweep_deadlines(*args, seed=9).to_csv()
         b = sweep_deadlines(*args, seed=9).to_csv()
         assert a == b
+
+    @pytest.mark.parametrize("n_frames", [0, -1])
+    def test_no_frames_is_a_value_error(self, n_frames):
+        sysd = gen.realistic_feasible_system(np.random.default_rng(15))
+        wsum = sum(sysd.wcecs)
+        with pytest.raises(ValueError, match="need at least one frame"):
+            sweep_deadlines(
+                sysd, self.builders(), wsum / sysd.cpu.f_max, wsum / sysd.cpu.f_min, 3, n_frames, seed=1
+            )
+
+
+def test_evaluate_on_no_frames_is_a_value_error():
+    sysd = gen.realistic_feasible_system(np.random.default_rng(16))
+    with pytest.raises(ValueError, match="need at least one frame"):
+        evaluate(sysd, sysd, [("limit", build_limit)], np.empty((0, sysd.n_tasks)))

@@ -61,6 +61,34 @@ class TestSampling:
         assert set(np.unique(d.sample_array(rng, 500))) <= {50, 100}
 
 
+class TestUniformDraws:
+    """Uniform draws scale ``u`` in place and cast it once; they are the
+    int64 draws of ``lo + min(int(u * n), n - 1)`` on the same uniforms."""
+
+    @staticmethod
+    def plain(d, u):
+        n = d.hi - d.lo + 1
+        return d.lo + np.minimum((u * n).astype(np.int64), n - 1)
+
+    @pytest.mark.parametrize("lo, hi", [(7, 7), (1, 10), (800_000, 1_500_000), (1, 2**31 - 1), (5, 2**31 + 3)])
+    @pytest.mark.parametrize("size", [1, 2, 1000, 16_383, 16_384, 16_385])
+    def test_same_draws_as_the_plain_formula(self, lo, hi, size):
+        d = CycleDistribution.uniform(lo, hi)
+        got = d.sample_array(np.random.default_rng(size), size)
+        want = self.plain(d, np.random.default_rng(size).random(size))
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert got.min() >= lo and got.max() <= hi
+
+    @pytest.mark.parametrize("lo, hi", [(7, 7), (1, 10), (1, 2**31 - 1), (5, 2**31 + 3)])
+    def test_edge_uniforms(self, lo, hi):
+        """0 draws lo and the largest uniform below 1 draws hi."""
+        d = CycleDistribution.uniform(lo, hi)
+        u = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
+        got = d.sample_array(FixedUniforms(u.copy()), len(u))
+        assert got.dtype == np.int64 and np.array_equal(got, self.plain(d, u))
+        assert got[0] == lo and got[-1] == hi
+
+
 class FixedUniforms:
     """Stands in for a Generator whose ``random`` returns the given uniforms."""
 
