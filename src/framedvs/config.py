@@ -259,7 +259,10 @@ def read_histogram_csv(path: str | Path) -> CycleDistribution:
     probs: list[float] = []
     for ln in lines[1:]:
         u_s, p_s = ln.split(",")
-        uppers.append(int(u_s))
+        u = int(u_s)
+        if u <= 0:
+            raise ValueError(f"{path}: bin edge {u} is not positive")
+        uppers.append(u)
         probs.append(float(p_s))
     if not uppers:
         raise ValueError(f"{path}: no bins")

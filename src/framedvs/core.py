@@ -74,26 +74,19 @@ _SUM_BLOCK = 65_536
 def _exact_sum(a: np.ndarray) -> float:
     """``math.fsum(a)`` without boxing each element; ``a`` is float64.
 
-    The sum is kept exactly as a Python int times a power of two, and one
-    int/int division rounds it once, so the result is the correctly
-    rounded sum, which is unique: the same bits as ``math.fsum``. Each
-    block of 65,536 elements adds its exact sum, found in one of two ways
-    (an all-zero block adds nothing):
-
-    - If ``2**-961 <= max|x| < 2**62``, the block is scaled by the power
-      of two (at most 2**1022) that puts its largest magnitude just under
-      2**62, which is exact. If every scaled value is an integer q, the
-      block sum is the int64 sums of ``q >> 31`` and ``q & 0x7FFFFFFF``,
-      each under 2**47 in magnitude and so exact. Every value within a
-      factor of 2**9 of the block maximum is such an integer, so frame
-      energies and switch times take this path.
-    - Otherwise each value is q * 2**(e - 53) with q a 53-bit integer; q
-      is split into three 18-bit limbs (the top one signed), and each
-      limb is summed per exponent by ``np.bincount``. Those float64 sums
-      are exact, because every partial sum is an integer below
-      2**16 * 2**18 < 2**53.
-
-    Short inputs go to ``math.fsum`` as a list, which is cheaper there.
+    Each block of 65,536 elements whose largest magnitude lies in
+    ``[2**-961, 2**62)`` is scaled by the power of two (at most 2**1022)
+    that puts that magnitude just under 2**62, which is exact. If every
+    scaled value is an integer q, the block sum is the int64 sums of
+    ``q >> 31`` and ``q & 0x7FFFFFFF``, each under 2**47 in magnitude and
+    so exact; the running total is a Python int times a power of two, and
+    one int/int division rounds it once. Every value within a factor of
+    2**9 of the block maximum is such an integer, so frame energies and
+    switch times take this path. An all-zero block adds nothing. Any other
+    block (NaN, inf, a value that is no integer once scaled, a maximum
+    outside that range) hands the whole array to ``math.fsum``, as do
+    inputs under 1,024 elements. Both give the correctly rounded sum, which
+    is unique: the same bits.
     """
     if len(a) < 1024:
         return math.fsum(a.tolist())
@@ -103,28 +96,15 @@ def _exact_sum(a: np.ndarray) -> float:
         top = max(float(block.max()), -float(block.min()))  # NaN fails both tests below
         if top == 0.0:
             continue
-        part = None
-        if 2.0**-961 <= top < 2.0**62:
-            s = 62 - math.frexp(top)[1]
-            x = block * 2.0**s
-            q = x.astype(np.int64)
-            if (q == x).all():
-                part = (int((q >> 31).sum()) << 31) + int((q & 0x7FFFFFFF).sum())
-                e = 53 - s
-        if part is None:
-            if not np.isfinite(block).all():
-                return math.fsum(a)
-            mant, exp = np.frexp(block)
-            q = (mant * 2.0**53).astype(np.int64)
-            e = int(exp.min(initial=0))
-            exp = exp.astype(np.intp) - e  # bincount casts any other index type per call
-            high = np.bincount(exp, q >> 36).tolist()
-            mid = np.bincount(exp, q >> 18 & 0x3FFFF).tolist()
-            low = np.bincount(exp, q & 0x3FFFF).tolist()
-            part = sum(
-                ((int(h) << 36) + (int(m) << 18) + int(lo)) << j
-                for j, (h, m, lo) in enumerate(zip(high, mid, low))
-            )
+        if not 2.0**-961 <= top < 2.0**62:
+            return math.fsum(a)
+        s = 62 - math.frexp(top)[1]
+        x = block * 2.0**s
+        q = x.astype(np.int64)
+        if not (q == x).all():
+            return math.fsum(a)
+        part = (int((q >> 31).sum()) << 31) + int((q & 0x7FFFFFFF).sum())
+        e = 53 - s
         if e < e0:
             total, e0 = total << (e0 - e), e
         total += part << (e - e0)

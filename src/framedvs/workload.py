@@ -70,6 +70,8 @@ class CycleDistribution:
         if self.kind == "uniform":
             if self.lo <= 0 or self.hi < self.lo:
                 raise ValueError("uniform needs 0 < lo <= hi")
+            if self.hi - self.lo + 1 > 2**53:  # float64 u * n would skip values
+                raise ValueError("uniform range must span at most 2**53 values")
             return
         if self.kind == "histogram":
             if self.bin_size <= 0:

@@ -427,6 +427,26 @@ class TestMalformedFiles:
         assert str(path) in err
         assert key in err
 
+    @pytest.mark.parametrize(
+        "rows,edge",
+        [
+            pytest.param("0,0.5\n3000,0.25\n6000,0.25", "0", id="zero-edge"),
+            pytest.param("-3000,0.5\n3000,0.25\n6000,0.25", "-3000", id="negative-edge"),
+            pytest.param("0,1.0", "0", id="only-edge-zero"),
+        ],
+    )
+    def test_histogram_edge_not_positive_exits_two(self, tmp_path, capsys, rows, edge):
+        """A nonpositive bin edge must not index a bin from the end or divide by zero."""
+        csv = tmp_path / "dist.csv"
+        csv.write_text("bin_upper_cycles,probability\n" + rows + "\n")
+        d = small_system_dict()
+        d["tasks"] = [{"wcec": 6000, "dist": {"kind": "histogram", "histogram_file": "dist.csv"}}]
+        sys_file = write_json(tmp_path / "sys.json", d)
+        assert main(["soft-deadline", "--system", str(sys_file), "--eps", "0.05"]) == 2
+        err = capsys.readouterr().err
+        assert str(csv) in err
+        assert f"bin edge {edge} " in err
+
     def test_system_and_system_file_together_exit_two(self, tmp_path, capsys):
         exp = TestCmdSimulateSweep().experiment(tmp_path)
         d = json.loads(exp.read_text())

@@ -531,7 +531,7 @@ class TestBlockedExactSum:
 
     def fast_path_arrays(self):
         """Blocks that take the int64 path next to blocks that fall back to
-        bincount, with the limits of the int64 path on either side."""
+        math.fsum, with the limits of the int64 path on either side."""
         b = 65_536
         rng = np.random.default_rng(62)
         fast = rng.uniform(1e-3, 5e-3, b)  # frame energies: within 2**9 of the max
@@ -589,6 +589,32 @@ class TestBlockedExactSum:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("overheads", [False, True])
+    def test_frame_sums_never_fall_back(self, monkeypatch, overheads):
+        """Frame energies and switch times take the int64 block path: over
+        70,000 frames, more than one block, math.fsum only sees short inputs."""
+        if overheads:
+            sysd = gen.realistic_feasible_system(np.random.default_rng(0), with_overheads=True)
+        else:
+            sysd = load_system(Path(__file__).resolve().parent.parent / "configs" / "xscale.json")
+        cycles = sample_cycles(sysd, np.random.default_rng(0), 70_000)
+        fsum, sizes = math.fsum, []
+
+        def spy(xs):
+            xs = list(xs)
+            sizes.append(len(xs))
+            return fsum(xs)
+
+        monkeypatch.setattr(math, "fsum", spy)
+        builders = [
+            ("limit", build_limit),
+            ("dpms", lambda s, z: discretize(s, z, dpms_rule(s, "closest"), "closest")),
+        ]
+        out = evaluate(sysd, sysd, builders, cycles, overheads)
+        assert all(st is not None and st.mean_energy > 0 for st in out.values())
+        assert all((st.mean_switch_time > 0) == overheads for st in out.values())
+        assert sizes and max(sizes) < 1024
 
 
 def test_sweeps_with_overheads_never_miss():

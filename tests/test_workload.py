@@ -79,7 +79,7 @@ class TestUniformDraws:
         assert got.dtype == np.int64 and np.array_equal(got, want)
         assert got.min() >= lo and got.max() <= hi
 
-    @pytest.mark.parametrize("lo, hi", [(7, 7), (1, 10), (1, 2**31 - 1), (5, 2**31 + 3)])
+    @pytest.mark.parametrize("lo, hi", [(7, 7), (1, 10), (1, 2**31 - 1), (5, 2**31 + 3), (1, 2**53)])
     def test_edge_uniforms(self, lo, hi):
         """0 draws lo and the largest uniform below 1 draws hi."""
         d = CycleDistribution.uniform(lo, hi)
@@ -87,6 +87,12 @@ class TestUniformDraws:
         got = d.sample_array(FixedUniforms(u.copy()), len(u))
         assert got.dtype == np.int64 and np.array_equal(got, self.plain(d, u))
         assert got[0] == lo and got[-1] == hi
+
+    @pytest.mark.parametrize("lo, hi", [(1, 2**53 + 1), (5, 2**60)])
+    def test_ranges_wider_than_2_53_are_refused(self, lo, hi):
+        """Past 2**53 values, float64 ``u * n`` cannot reach every value."""
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            CycleDistribution.uniform(lo, hi)
 
 
 class FixedUniforms:
