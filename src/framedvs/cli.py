@@ -80,7 +80,8 @@ def cmd_build(args) -> int:
     system = load_system(args.system)
     zones = danger_zones_overhead(system, args.zones)
     beta = [float(b) for b in args.beta.split(",")] if args.beta else None
-    entry = StrategyEntry(args.kind, args.kind, args.mode, {"beta": beta, "pt": args.pt})
+    params = {k: v for k, v in (("beta", beta), ("pt", args.pt)) if v is not None}
+    entry = StrategyEntry(args.kind, args.kind, args.mode, params)
     strategy = _build_entry(entry, system, zones)
     save_strategy(strategy, args.out)
     print(f"wrote {args.out}")

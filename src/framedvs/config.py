@@ -12,7 +12,12 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .core import FrameSystem, FrequencyTable, StepFunction, StrategySet, TaskSpec, as_cycles
+import numpy as np
+
+from . import workload
+from .core import (
+    CapExceededError, FrameSystem, FrequencyTable, StepFunction, StrategySet, TaskSpec, as_cycles
+)
 from .workload import CycleDistribution
 
 __all__ = [
@@ -153,6 +158,8 @@ class StrategyEntry:
         params = dict(self.params)
         if params.keys() - {"beta", "pt"}:
             raise ValueError(f"strategy params may hold only beta and pt, got {sorted(params)}")
+        if params and self.kind != "pitdvs":
+            raise ValueError(f"strategy params are for pitdvs only; {self.kind} takes none")
         object.__setattr__(self, "params", params)
 
 
@@ -266,14 +273,14 @@ def read_histogram_csv(path: str | Path) -> CycleDistribution:
         probs.append(float(p_s))
     if not uppers:
         raise ValueError(f"{path}: no bins")
-    b = math.gcd(*uppers) if len(uppers) > 1 else uppers[0]
-    kmax = max(uppers) // b
-    full = [0.0] * kmax
-    for u, p in zip(uppers, probs):
-        if u % b != 0:
-            raise ValueError(f"{path}: bin edge {u} is not a multiple of {b}")
-        full[u // b - 1] += p
-    return CycleDistribution.histogram(b, full)
+    b = math.gcd(*uppers)
+    n_bins = max(uppers) // b
+    if n_bins > workload.CONVOLVE_CAP:
+        raise CapExceededError(
+            f"{path}: histogram grid of {n_bins} bins exceeds cap {workload.CONVOLVE_CAP}"
+        )
+    # every edge is a multiple of b; repeated edges add their masses in file order
+    return CycleDistribution.histogram(b, np.bincount([u // b - 1 for u in uppers], probs))
 
 
 def write_histogram_csv(dist: CycleDistribution, path: str | Path) -> None:

@@ -250,12 +250,6 @@ class FrameSystem:
         except KeyError as e:
             raise ValueError(f"frequency {e.args[0]!r} is not in the table") from None
 
-    def check_speeds(self, strategy: "StrategySet") -> None:
-        """The ``step_modes`` check without building its lists."""
-        speeds = {f for fn in strategy.funcs for _, f in fn.points}
-        if len(strategy) != self.n_tasks or not speeds <= self.cpu.mode_of.keys():
-            self.step_modes(strategy)  # raises the ValueError that names the problem
-
 
 @dataclass(frozen=True)
 class StepFunction:

@@ -64,10 +64,7 @@ def _merge(contribs: list[tuple]) -> list[list]:
 
 
 def worst_finish_oracle(
-    sys: FrameSystem,
-    strategy: StrategySet,
-    overheads: bool = False,
-    max_intervals: int = MAX_INTERVALS,
+    sys: FrameSystem, strategy: StrategySet, overheads: bool = False
 ) -> WorstCaseReport:
     """Exact per-task worst finish times under expedient execution."""
     modes = sys.step_modes(strategy)
@@ -96,7 +93,7 @@ def worst_finish_oracle(
                         fidx, dom_lo + cost + clo / f, dom_hi + cost + chi / f,
                         src, cost, dom_lo, dom_hi, f, clo, chi,
                     ))
-        if len(contribs) > max_intervals:
+        if len(contribs) > MAX_INTERVALS:
             raise CapExceededError("reachable interval count exceeds cap")
         tops.append(max(contribs, key=itemgetter(2)))
         starts.append(_merge(contribs))

@@ -189,7 +189,7 @@ def check(sys: FrameSystem, strategy: StrategySet, zones: DangerZones) -> CheckR
     sweeps can pass through infeasible points. A step speed that is not
     in the CPU table raises ValueError: no run can execute it.
     """
-    sys.check_speeds(strategy)
+    sys.step_modes(strategy)
     return _check_zones(sys.wcecs, strategy.funcs, zones, sys.n_tasks)
 
 
@@ -206,7 +206,7 @@ def recheck_prefix(
     new_w = as_cycles(new_w)
     if new_w <= 0:
         raise ValueError("new wcec must be positive")
-    sys.check_speeds(strategy)
+    sys.step_modes(strategy)
     wcecs = list(sys.wcecs)
     wcecs[i] = new_w
     zones = DangerZones(tuple(_zones_from_wcecs(wcecs, sys.deadline, sys.cpu.f_max)))

@@ -237,20 +237,17 @@ def monte_carlo(
 
 
 def exact_expectation(
-    sys: FrameSystem,
-    strategy: StrategySet,
-    overheads: bool = False,
-    cap: int = ENUMERATION_CAP,
+    sys: FrameSystem, strategy: StrategySet, overheads: bool = False
 ) -> SimStats:
     """Exact expected energy and miss probability by full enumeration.
 
     Walks every combination of per-task support values with its
-    probability; the support product must stay within the cap.
+    probability; the support product must stay within ``ENUMERATION_CAP``.
     """
     sizes = [t.dist.n_atoms() for t in sys.tasks]
     total = math.prod(sizes)
-    if total > cap:
-        raise CapExceededError(f"enumeration of {total} outcomes exceeds cap {cap}")
+    if total > ENUMERATION_CAP:
+        raise CapExceededError(f"enumeration of {total} outcomes exceeds cap {ENUMERATION_CAP}")
     atoms = [t.dist.atoms() for t in sys.tasks]
     grids = np.meshgrid(*[v.astype(np.float64) for v, _ in atoms], indexing="ij")
     cycles = np.column_stack([g.ravel() for g in grids])

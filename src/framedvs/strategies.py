@@ -47,7 +47,6 @@ class ContinuousRule:
 
     inverse: Callable[[int, float], float]
     mode: str = "closest"
-    name: str = "custom"
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ def dpms_rule(sys: FrameSystem, mode: str = "closest") -> ContinuousRule:
     def inverse(i: int, f: float) -> float:
         return d - remaining[i] / f
 
-    return ContinuousRule(inverse, mode=mode, name="dpms")
+    return ContinuousRule(inverse, mode=mode)
 
 
 def pitdvs_rule(
@@ -120,7 +119,7 @@ def pitdvs_rule(
     def inverse(i: int, f: float) -> float:
         return horizons[i] - wc[i] / (beta.beta[i] * f)
 
-    return ContinuousRule(inverse, mode=mode, name="pitdvs")
+    return ContinuousRule(inverse, mode=mode)
 
 
 def discretize(
@@ -154,16 +153,12 @@ def discretize(
 
 
 def rule_from_forward(
-    forward: Callable[[int, float], float],
-    horizon: float,
-    mode: str = "closest",
-    name: str = "custom",
-    eps: float = BISECT_EPS,
+    forward: Callable[[int, float], float], horizon: float
 ) -> ContinuousRule:
     """Build a rule from a forward speed function by bisecting its inverse.
 
     ``forward(i, t)`` must be nondecreasing in t on [0, horizon]. The
-    crossing time of speed f is resolved to within ``eps`` seconds.
+    crossing time of speed f is resolved to within ``BISECT_EPS`` seconds.
     """
 
     def inverse(i: int, f: float) -> float:
@@ -172,7 +167,7 @@ def rule_from_forward(
         if forward(i, horizon) < f:
             return math.inf
         lo, hi = 0.0, horizon
-        while hi - lo > eps:
+        while hi - lo > BISECT_EPS:
             mid = (lo + hi) / 2.0
             if forward(i, mid) >= f:
                 hi = mid
@@ -180,7 +175,7 @@ def rule_from_forward(
                 lo = mid
         return lo
 
-    return ContinuousRule(inverse, mode=mode, name=name)
+    return ContinuousRule(inverse)
 
 
 def build_soft_speed(sys: FrameSystem, soft) -> StrategySet:
@@ -201,5 +196,5 @@ def build_soft_speed(sys: FrameSystem, soft) -> StrategySet:
 def limit_rule(sys: FrameSystem, zones: DangerZones) -> ContinuousRule:
     """The schedulability limit itself as a continuous rule."""
     wc = sys.wcecs
-    return ContinuousRule(lambda i, f: zones.crossing(i, wc[i], f), mode="up", name="limit")
+    return ContinuousRule(lambda i, f: zones.crossing(i, wc[i], f), mode="up")
 

@@ -281,9 +281,9 @@ def _runs(idx: np.ndarray) -> np.ndarray:
     return np.column_stack((idx[np.append(0, cut + 1)], idx[np.append(cut, -1)]))
 
 
-def _run_sum(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
+def _run_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Runs of the Minkowski sum of two run sets; touching runs merge."""
-    if len(a) * len(b) > cap:
+    if len(a) * len(b) > CONVOLVE_CAP:
         raise CapExceededError("convolution support exceeds cap")
     # each run of b adds a sorted block of starts, which a stable sort merges fast
     first = (b[:, :1] + a[:, 0]).ravel()
@@ -294,9 +294,7 @@ def _run_sum(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
     return np.column_stack((first[np.append(0, cut + 1)], last[np.append(cut, -1)]))
 
 
-def convolve(
-    dists: Iterable[CycleDistribution], cap: int = CONVOLVE_CAP
-) -> CycleDistribution:
+def convolve(dists: Iterable[CycleDistribution]) -> CycleDistribution:
     """Exact distribution of the sum of independent cycle demands.
 
     Every task's mass lies on one integer grid whose stride is the gcd
@@ -308,24 +306,24 @@ def convolve(
     masses never decreases, so every term is >= 0 and none lands off
     the sum's exact support: the Minkowski sum of each task's runs of
     consecutive grid indices, where the masses are read and normalised.
-    Raises ``CapExceededError`` when the grid or the run pairs exceed ``cap``.
+    Raises ``CapExceededError`` when the grid or the run pairs exceed ``CONVOLVE_CAP``.
     """
     dists = list(dists)
     if not dists:
         raise ValueError("nothing to convolve")
     # a lower bound on the grid, checked before any atom is built
-    if sum(d.n_atoms() - 1 for d in dists) + 1 > cap:
+    if sum(d.n_atoms() - 1 for d in dists) + 1 > CONVOLVE_CAP:
         raise CapExceededError("convolution support exceeds cap")
     atoms = [d.atoms() for d in dists]
     stride = int(np.gcd.reduce(np.concatenate([np.diff(v) for v, _ in atoms]))) or 1
     offset = sum(int(v[0]) for v, _ in atoms)
     idx = [(v - v[0]) // stride for v, _ in atoms]
     size = sum(int(k[-1]) for k in idx) + 1
-    if size > cap:
+    if size > CONVOLVE_CAP:
         raise CapExceededError("convolution support exceeds cap")
     runs = np.zeros((1, 2), dtype=np.int64)
     for k in idx:
-        runs = _run_sum(runs, _runs(k), cap)
+        runs = _run_sum(runs, _runs(k))
     grids = [np.bincount(k, p) for k, (_, p) in zip(idx, atoms)]
     del atoms, idx  # on xscale these hold 35 MB the sum no longer needs
     # C[i] is mass[pad + i]; the zeros in front stand for C[i < 0]

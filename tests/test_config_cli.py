@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from framedvs import workload
 from framedvs.cli import main
 from framedvs.config import (
     SimulationSettings,
@@ -18,6 +20,7 @@ from framedvs.config import (
     system_to_dict,
     write_histogram_csv,
 )
+from framedvs.core import CapExceededError
 from framedvs.workload import CycleDistribution
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -91,6 +94,14 @@ class TestConfigRoundTrip:
         assert back.bin_size == 250
         assert back.probs.tolist() == d.probs.tolist()
 
+    def test_histogram_repeated_edges_add_their_masses(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("bin_upper_cycles,probability\n20,0.1\n10,0.1\n20,0.1\n20,0.7\n")
+        back = read_histogram_csv(path)
+        assert back.bin_size == 10
+        # in file order, as a running sum from zero
+        assert back.probs.tolist() == [0.1, ((0.0 + 0.1) + 0.1) + 0.7]
+
     def test_histogram_file_reference(self, tmp_path):
         d = CycleDistribution.histogram(100, (0.5, 0.5))
         write_histogram_csv(d, tmp_path / "dist.csv")
@@ -150,6 +161,18 @@ class TestCmdCheckBuild:
             main(["check", "--system", str(sys_file), "--strategy", str(strat_file),
                   "--mode", "necessary"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "kind,flags",
+        [("limit", ["--pt", "0"]), ("dpms", ["--beta", "1.0"]), ("dpms", ["--pt", "0"])],
+    )
+    def test_params_refused_outside_pitdvs(self, tmp_path, capsys, kind, flags):
+        sys_file = write_json(tmp_path / "sys.json", small_system_dict())
+        out = tmp_path / "o.json"
+        assert main(["build", "--system", str(sys_file), "--kind", kind, *flags,
+                     "--out", str(out)]) == 2
+        assert "pitdvs only" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pitdvs_build_round_trips(self, tmp_path):
         sys_file = write_json(tmp_path / "sys.json", small_system_dict(wcecs=(300, 200)))
@@ -380,6 +403,8 @@ class TestMalformedFiles:
                          id="params-list"),
             pytest.param("simulate", "exp", _set(("strategies", 0, "params"), {"betas": [1]}),
                          "betas", id="params-unknown-key"),
+            pytest.param("simulate", "exp", _set(("strategies", 0, "params"), {"beta": [1.0] * 3}),
+                         "pitdvs only", id="params-on-dpms"),
             pytest.param("sweep", "exp", _set(("simulation", "n_frame"), 5), "n_frame",
                          id="simulation-unknown-key"),
             pytest.param("check", "sys", _set(("cpu",), []), None, id="system-cpu-list"),
@@ -457,3 +482,34 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert str(exp) in err
         assert "system_file" in err
+
+
+class TestHistogramGridCap:
+    """A histogram CSV's grid is max(edge) / gcd(edges) bins, capped like a convolution."""
+
+    def write(self, tmp_path, rows: str) -> Path:
+        csv = tmp_path / "dist.csv"
+        csv.write_text("bin_upper_cycles,probability\n" + rows + "\n")
+        return csv
+
+    def test_wide_grid_exits_three_before_allocating(self, tmp_path, capsys):
+        csv = self.write(tmp_path, "1,0.5\n10000000000,0.5")
+        d = small_system_dict()
+        d["tasks"] = [{"wcec": 10**10, "dist": {"kind": "histogram", "histogram_file": "dist.csv"}}]
+        sys_file = write_json(tmp_path / "sys.json", d)
+        tracemalloc.start()
+        try:
+            assert main(["soft-deadline", "--system", str(sys_file), "--eps", "0.05"]) == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert str(csv) in err
+        assert "10000000000 bins" in err
+
+    def test_cap_boundary(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(workload, "CONVOLVE_CAP", 4)
+        assert len(read_histogram_csv(self.write(tmp_path, "3,0.5\n12,0.5")).probs) == 4
+        with pytest.raises(CapExceededError):
+            read_histogram_csv(self.write(tmp_path, "3,0.5\n15,0.5"))

@@ -19,6 +19,7 @@ from framedvs import (
     run_frames,
     worst_finish_oracle,
 )
+from framedvs import oracle
 
 import gen
 
@@ -244,7 +245,8 @@ class TestTwoTaskIndependentRecomputation:
 
 
 class TestCaps:
-    def test_interval_cap(self):
+    def test_interval_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_INTERVALS", 4)
         rng = np.random.default_rng(5)
         # gappy histograms times many steps blow up the interval count
         cpu = FrequencyTable((2.0**27, 2.0**28, 2.0**29), (0.1, 0.2, 0.3))
@@ -260,4 +262,4 @@ class TestCaps:
             )
         )
         with pytest.raises(CapExceededError):
-            worst_finish_oracle(sysd, strat, max_intervals=4)
+            worst_finish_oracle(sysd, strat)

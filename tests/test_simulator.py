@@ -719,12 +719,13 @@ class TestExactExpectation:
         else:
             assert abs(mc.mean_energy - exact.mean_energy) <= 4 * mc.energy_stderr
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(simulator, "ENUMERATION_CAP", 100)
         rng = np.random.default_rng(11)
         sysd = gen.realistic_feasible_system(rng)  # wide uniform supports
         strat = build_limit(sysd, danger_zones(sysd))
         with pytest.raises(CapExceededError):
-            exact_expectation(sysd, strat, cap=100)
+            exact_expectation(sysd, strat)
 
 
 class TestSchedulabilityEndToEnd:

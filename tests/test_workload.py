@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framedvs import CycleDistribution, bin_trace, convolve, soft_deadline
+from framedvs import CycleDistribution, bin_trace, convolve, soft_deadline, workload
 from framedvs.config import load_system
 from framedvs.core import CapExceededError, FrameSystem, FrequencyTable, TaskSpec
 from framedvs.simulator import sample_cycles
@@ -366,28 +366,32 @@ class TestConvolve:
         c = convolve([a, b])
         assert c.mean() == pytest.approx(a.mean() + b.mean(), rel=1e-9)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(workload, "CONVOLVE_CAP", 1000)
         a = CycleDistribution.uniform(1, 100_000)
         with pytest.raises(CapExceededError):
-            convolve([a, a], cap=1000)
+            convolve([a, a])
 
-    def test_cap_checked_before_atoms_are_built(self):
+    def test_cap_checked_before_atoms_are_built(self, monkeypatch):
+        monkeypatch.setattr(workload, "CONVOLVE_CAP", 1_000_000)
         a = CycleDistribution.uniform(1, 5_000_000)
         tracemalloc.start()
         try:
             with pytest.raises(CapExceededError):
-                convolve([a, a], cap=1_000_000)
+                convolve([a, a])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
 
-    def test_cap_counts_run_pairs(self):
+    def test_cap_counts_run_pairs(self, monkeypatch):
         # 50 separate runs on a 500-point grid: 2500 run pairs, 999 grid points
         a = CycleDistribution.from_points({v: 1 / 51 for v in [1, 2] + list(range(20, 510, 10))})
-        assert len(convolve([a, a], cap=2500).values) > 51
+        monkeypatch.setattr(workload, "CONVOLVE_CAP", 2500)
+        assert len(convolve([a, a]).values) > 51
+        monkeypatch.setattr(workload, "CONVOLVE_CAP", 2499)
         with pytest.raises(CapExceededError):
-            convolve([a, a], cap=2499)
+            convolve([a, a])
 
 
 class TestRunningSums:
