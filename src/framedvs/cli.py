@@ -50,7 +50,7 @@ def _build_entry(entry: StrategyEntry, system: FrameSystem, zones) -> StrategySe
     if entry.kind == "dpms":
         return discretize(system, zones, dpms_rule(system, mode), mode)
     beta, pt = entry.params.get("beta"), entry.params.get("pt")
-    bv = BetaVector(tuple(beta)) if beta else BetaVector.ones(system.n_tasks)
+    bv = BetaVector.ones(system.n_tasks) if beta is None else BetaVector(tuple(beta))
     penalty = system.cpu.change_penalty_max if pt is None else float(pt)
     return discretize(system, zones, pitdvs_rule(system, bv, penalty, mode), mode)
 
@@ -79,7 +79,9 @@ def cmd_check(args) -> int:
 def cmd_build(args) -> int:
     system = load_system(args.system)
     zones = danger_zones_overhead(system, args.zones)
-    beta = [float(b) for b in args.beta.split(",")] if args.beta else None
+    beta = None
+    if args.beta is not None:
+        beta = [float(b) for b in args.beta.split(",")] if args.beta else []
     params = {k: v for k, v in (("beta", beta), ("pt", args.pt)) if v is not None}
     entry = StrategyEntry(args.kind, args.kind, args.mode, params)
     strategy = _build_entry(entry, system, zones)

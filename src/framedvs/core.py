@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -263,18 +265,19 @@ class StepFunction:
     _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pts = tuple((float(t), float(f)) for t, f in self.points)
+        pts = tuple([(float(t), float(f)) for t, f in self.points])
         object.__setattr__(self, "points", pts)
         if not pts:
             raise ValueError("step function needs at least one point")
-        if pts[0][0] != 0.0:
+        times, freqs = zip(*pts)
+        if times[0] != 0.0:
             raise ValueError("step function must start at time 0")
-        times = tuple(t for t, _ in pts)
-        if any(a >= b for a, b in zip(times, times[1:])):
+        # ge and "0 >= f" let a NaN through, so it reaches the finite check
+        if any(map(operator.ge, times, times[1:])):
             raise ValueError("step times must be strictly increasing")
-        if any(f <= 0 for _, f in pts):
+        if any(map(operator.ge, repeat(0.0), freqs)):
             raise ValueError("frequencies must be positive")
-        if not all(math.isfinite(t) and math.isfinite(f) for t, f in pts):
+        if not (all(map(math.isfinite, times)) and all(map(math.isfinite, freqs))):
             raise ValueError("step times and frequencies must be finite")
         object.__setattr__(self, "_times", times)
 

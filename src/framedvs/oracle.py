@@ -12,12 +12,15 @@ leave the successor on the slower side of its function.
 
 Each finish interval remembers the start interval it came from, and the
 witness is read back along those links, so it is consistent with the
-switch costs the forward pass charged.
+switch costs the forward pass charged. The forward pass is all a caller
+of ``tau`` pays for: the walk back runs on the first read of ``witness``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 from .core import CapExceededError, FrameSystem, StrategySet
@@ -27,7 +30,7 @@ __all__ = ["WorstCaseReport", "worst_finish_oracle"]
 MAX_INTERVALS = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorstCaseReport:
     """Per-task worst finish times and the cycle choices reaching them.
 
@@ -37,10 +40,31 @@ class WorstCaseReport:
     as worst cases are not generally all-worst-case runs, and fractional,
     as demand is continuous within each covered range, so a witness
     replays through ``run_frames``, not the integral-only ``run_frame``.
+
+    The witness is walked back on first read and cached. Until then the
+    report keeps the propagation's merged start intervals and each task's
+    top contribution; the first read drops them. Reports compare and hash
+    by ``tau`` and ``witness``.
     """
 
     tau: tuple[float, ...]
-    witness: tuple[tuple[float, ...], ...]
+    _starts: list | None = field(repr=False)
+    _tops: list | None = field(repr=False)
+
+    @cached_property
+    def witness(self) -> tuple[tuple[float, ...], ...]:
+        out = tuple(_reconstruct(self._starts, i, c) for i, c in enumerate(self._tops))
+        object.__setattr__(self, "_starts", None)
+        object.__setattr__(self, "_tops", None)
+        return out
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WorstCaseReport):
+            return NotImplemented
+        return self.tau == other.tau and self.witness == other.witness
+
+    def __hash__(self) -> int:
+        return hash((self.tau, self.witness))
 
 
 # A contribution is the finish interval of one task over one (start
@@ -53,13 +77,15 @@ class WorstCaseReport:
 def _merge(contribs: list[tuple]) -> list[list]:
     """Union of the finish intervals per run mode, keeping the members."""
     merged: list[list] = []
+    last = None
     for c in sorted(contribs):
-        fidx, lo, hi = c[:3]
-        if merged and merged[-1][2] == fidx and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-            merged[-1][3].append(c)
+        if last is not None and last[2] == c[0] and c[1] <= last[1]:
+            if c[2] > last[1]:
+                last[1] = c[2]
+            last[3].append(c)
         else:
-            merged.append([lo, hi, fidx, [c]])
+            last = [c[1], c[2], c[0], [c]]
+            merged.append(last)
     return merged
 
 
@@ -68,26 +94,24 @@ def worst_finish_oracle(
 ) -> WorstCaseReport:
     """Exact per-task worst finish times under expedient execution."""
     modes = sys.step_modes(strategy)
-    cpu = sys.cpu
+    switch_cost = sys.cpu.switch_cost
     # Decision times for the next task: finish of the previous one, tagged
     # with the mode it ran at (switch cost depends on it).
     starts: list[list[list]] = [[[0.0, 0.0, None, []]]]
     tops: list[tuple] = []
     for task, fn, idx in zip(sys.tasks, strategy.funcs, modes):
-        ends = [t for t, _ in fn.points[1:]] + [math.inf]
-        pieces = [(a, b, k, f) for (a, f), b, k in zip(fn.points, ends, idx)]
+        times = fn._times
+        pieces = list(zip(times, times[1:] + (math.inf,), idx, [f for _, f in fn.points]))
         ranges = task.dist.ranges()
         contribs: list[tuple] = []
         for src, (rlo, rhi, prev_idx, _) in enumerate(starts[-1]):
-            for a, b, fidx, f in pieces:
+            costs = switch_cost[prev_idx] if overheads and prev_idx is not None else None
+            # the pieces [a, b) with a <= rhi and b > rlo meet the start interval
+            first = bisect_right(times, rlo) - 1
+            for a, b, fidx, f in pieces[first:bisect_right(times, rhi)]:
                 dom_lo = max(rlo, a)
                 dom_hi = min(rhi, b)
-                if dom_lo > dom_hi or dom_lo >= b:
-                    continue
-                if overheads and prev_idx is not None:
-                    cost = cpu.switch_cost[prev_idx][fidx]
-                else:
-                    cost = 0.0
+                cost = 0.0 if costs is None else costs[fidx]
                 for clo, chi in ranges:
                     contribs.append((
                         fidx, dom_lo + cost + clo / f, dom_hi + cost + chi / f,
@@ -97,10 +121,7 @@ def worst_finish_oracle(
             raise CapExceededError("reachable interval count exceeds cap")
         tops.append(max(contribs, key=itemgetter(2)))
         starts.append(_merge(contribs))
-    return WorstCaseReport(
-        tuple(c[2] for c in tops),
-        tuple(_reconstruct(starts, i, c) for i, c in enumerate(tops)),
-    )
+    return WorstCaseReport(tuple(c[2] for c in tops), starts, tops)
 
 
 def _reconstruct(starts: list[list[list]], i: int, c: tuple) -> tuple[float, ...]:

@@ -174,6 +174,26 @@ class TestCmdCheckBuild:
         assert "pitdvs only" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_beta_flag_is_a_length_mismatch(self, tmp_path, capsys):
+        sys_file = write_json(tmp_path / "sys.json", small_system_dict(wcecs=(300, 200)))
+        out = tmp_path / "p.json"
+        assert main(["build", "--system", str(sys_file), "--kind", "pitdvs", "--beta", "",
+                     "--out", str(out)]) == 2
+        assert "beta length does not match task count" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_beta_param_is_a_length_mismatch(self, tmp_path, capsys):
+        exp = {
+            "system": small_system_dict(deadline_s=0.5, wcecs=(400, 300)),
+            "strategies": [{"name": "p", "kind": "pitdvs", "params": {"beta": []}}],
+            "simulation": {"n_frames": 10},
+        }
+        cfg = write_json(tmp_path / "exp.json", exp)
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "beta length does not match task count" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pitdvs_build_round_trips(self, tmp_path):
         sys_file = write_json(tmp_path / "sys.json", small_system_dict(wcecs=(300, 200)))
         out = tmp_path / "p.json"

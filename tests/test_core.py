@@ -198,6 +198,65 @@ class TestStepFunction:
             StepFunction(((0.0, 1.0), (0.0, 2.0)))
 
 
+START = "step function must start at time 0"
+INCREASING = "step times must be strictly increasing"
+POSITIVE = "frequencies must be positive"
+FINITE = "step times and frequencies must be finite"
+
+
+def _points(at: int, time: float | None = None, freq: float | None = None):
+    """Three valid points with the time or frequency at index ``at`` replaced."""
+    pts = [[0.0, 1.0], [0.5, 2.0], [1.0, 3.0]]
+    if time is not None:
+        pts[at][0] = time
+    if freq is not None:
+        pts[at][1] = freq
+    return tuple(map(tuple, pts))
+
+
+class TestStepFunctionRefusals:
+    """Every refusal names its rule; the first rule a point set breaks wins."""
+
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            pytest.param((), "step function needs at least one point", id="empty"),
+            pytest.param(((0.1, 500.0),), START, id="first-time-positive"),
+            pytest.param(_points(0, time=-1.0), START, id="first-time-negative"),
+            pytest.param(_points(-1, time=0.5), INCREASING, id="equal-times"),
+            pytest.param(_points(-1, time=0.25), INCREASING, id="decreasing-times"),
+            pytest.param(_points(0, freq=0.0), POSITIVE, id="first-freq-zero"),
+            pytest.param(_points(-1, freq=0.0), POSITIVE, id="last-freq-zero"),
+            pytest.param(_points(0, freq=-2.0), POSITIVE, id="first-freq-negative"),
+            pytest.param(_points(-1, freq=-2.0), POSITIVE, id="last-freq-negative"),
+            pytest.param(_points(0, time=math.nan), START, id="first-time-nan"),
+            pytest.param(_points(-1, time=math.nan), FINITE, id="last-time-nan"),
+            pytest.param(_points(0, time=math.inf), START, id="first-time-inf"),
+            pytest.param(_points(-1, time=math.inf), FINITE, id="last-time-inf"),
+            pytest.param(_points(0, time=-math.inf), START, id="first-time-minus-inf"),
+            pytest.param(_points(-1, time=-math.inf), INCREASING, id="last-time-minus-inf"),
+            pytest.param(_points(0, freq=math.nan), FINITE, id="first-freq-nan"),
+            pytest.param(_points(-1, freq=math.nan), FINITE, id="last-freq-nan"),
+            pytest.param(_points(0, freq=math.inf), FINITE, id="first-freq-inf"),
+            pytest.param(_points(-1, freq=math.inf), FINITE, id="last-freq-inf"),
+            pytest.param(_points(0, freq=-math.inf), POSITIVE, id="first-freq-minus-inf"),
+            pytest.param(_points(-1, freq=-math.inf), POSITIVE, id="last-freq-minus-inf"),
+            pytest.param(((0.1, 0.0),), START, id="start-before-positive"),
+            pytest.param(((0.0, 0.0), (0.0, 1.0)), INCREASING, id="increasing-before-positive"),
+            pytest.param(((0.0, 0.0), (math.nan, 1.0)), POSITIVE, id="positive-before-finite"),
+            pytest.param(((0.0, math.nan), (1.0, 0.0)), POSITIVE,
+                         id="positive-before-finite-nan-first"),
+        ],
+    )
+    def test_refusal_message(self, points, message):
+        with pytest.raises(ValueError) as exc:
+            StepFunction(points)
+        assert str(exc.value) == message
+
+    def test_negative_zero_start_is_accepted(self):
+        assert StepFunction(((-0.0, 1.0), (1, 2))).points == ((0.0, 1.0), (1.0, 2.0))
+
+
 class TestTaskSpec:
     def test_support_cannot_exceed_wcec(self):
         with pytest.raises(ValueError):

@@ -263,3 +263,42 @@ class TestCaps:
         )
         with pytest.raises(CapExceededError):
             worst_finish_oracle(sysd, strat)
+
+
+class TestLazyWitness:
+    """The forward pass gives tau; the witness walk runs once, on first read."""
+
+    def spy(self, monkeypatch) -> list[int]:
+        calls: list[int] = []
+        real = oracle._reconstruct
+
+        def counting(starts, i, c):
+            calls.append(i)
+            return real(starts, i, c)
+
+        monkeypatch.setattr(oracle, "_reconstruct", counting)
+        return calls
+
+    def test_reading_tau_never_walks_back(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        sysd, strat = inversion_instance()
+        rep = worst_finish_oracle(sysd, strat, overheads=True)
+        assert rep.tau[-1] == pytest.approx(0.4 + 400 / 500.0, rel=1e-12)
+        assert calls == []
+
+    def test_witness_walks_once_per_task_and_drops_intervals(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        sysd, strat = inversion_instance()
+        rep = worst_finish_oracle(sysd, strat)
+        first = rep.witness
+        assert rep.witness is first
+        assert calls == [0, 1]
+        assert rep._starts is None and rep._tops is None
+
+    def test_equality_and_hash_cover_tau_and_witness(self):
+        sysd, strat = inversion_instance()
+        a, b = worst_finish_oracle(sysd, strat), worst_finish_oracle(sysd, strat)
+        assert a == b and hash(a) == hash(b)
+        assert a.witness == b.witness
+        slower = StrategySet((strat.funcs[0], StepFunction(((0.0, 500.0),))))
+        assert worst_finish_oracle(sysd, slower) != a
