@@ -55,16 +55,12 @@ def _build_entry(entry: StrategyEntry, system: FrameSystem, zones) -> StrategySe
     return discretize(system, zones, pitdvs_rule(system, bv, penalty, mode), mode)
 
 
-def _soft_build_system(system: FrameSystem, eps: float, soft_wcec: str) -> FrameSystem:
-    """System the builders see when a soft-deadline eps is configured."""
-    result = soft_deadline(system, eps)
-    tasks = system.tasks
-    if soft_wcec == "kappa":
-        tasks = tuple(
-            TaskSpec(k, t.dist.truncated(k), t.label)
-            for t, k in zip(system.tasks, result.kappa)
-        )
-    return FrameSystem(tasks, result.adjusted_deadline, system.cpu)
+def _soft_build_system(system: FrameSystem, eps: float) -> FrameSystem:
+    """Tasks truncated at their eps-percentiles kappa_i, at the true deadline: a frame
+    misses only if some c_i > kappa_i, with probability at most N * eps."""
+    kappa = [t.dist.percentile(eps) for t in system.tasks]
+    tasks = tuple(TaskSpec(k, t.dist.truncated(k), t.label) for t, k in zip(system.tasks, kappa))
+    return FrameSystem(tasks, system.deadline, system.cpu)
 
 
 def cmd_check(args) -> int:
@@ -110,7 +106,7 @@ def cmd_simulate(args) -> int:
     system = cfg.system
     build_sys = system
     if sim.soft_eps is not None:
-        build_sys = _soft_build_system(system, sim.soft_eps, sim.soft_wcec)
+        build_sys = _soft_build_system(system, sim.soft_eps)
     cycles = sample_cycles(system, np.random.default_rng(seed), sim.n_frames)
     results = evaluate(system, build_sys, _experiment_builders(cfg), cycles, overheads)
     lines = [

@@ -169,7 +169,6 @@ class SimulationSettings:
     seed: int = 0
     overheads: str = "off"  # on | off
     soft_eps: float | None = None
-    soft_wcec: str = "true_wcec"  # kappa | true_wcec
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_frames", _count("n_frames", self.n_frames))
@@ -178,8 +177,6 @@ class SimulationSettings:
             object.__setattr__(self, "soft_eps", float(self.soft_eps))
         if self.overheads not in ("on", "off"):
             raise ValueError("overheads must be 'on' or 'off'")
-        if self.soft_wcec not in ("kappa", "true_wcec"):
-            raise ValueError("soft_wcec must be 'kappa' or 'true_wcec'")
         if self.n_frames < 1:
             raise ValueError("n_frames must be positive")
 

@@ -184,9 +184,9 @@ def build_soft_speed(sys: FrameSystem, soft) -> StrategySet:
     Every task runs at the smallest table frequency not below
     frame_wcec / adjusted_deadline, i.e. the percentile workload fits the
     true deadline. Total demand exceeds that workload with probability at
-    most the relaxation's eps, and only those frames can miss. Lazy
-    builders cannot be used here: rebuilt against the relaxed deadline
-    they push finishes toward it, far past the true deadline.
+    most the relaxation's eps, and only those frames can miss. The lazy
+    builders take the other route in ``simulate``'s ``soft_eps``: they are
+    built for the tasks truncated at their percentiles, at the true deadline.
     """
     f_star = quantize(sys.cpu, soft.frame_wcec / soft.adjusted_deadline, "up")
     flat = StepFunction(((0.0, f_star),))

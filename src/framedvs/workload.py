@@ -167,6 +167,11 @@ class CycleDistribution:
 
     def mean(self) -> float:
         """Exact expectation over the mass function."""
+        return self._mean
+
+    @cached_property
+    def _mean(self) -> float:
+        # computed once per distribution: dpms_rule asks on every build
         if self.kind == "uniform":
             return (self.lo + self.hi) / 2.0
         vals, mass = self.atoms()
@@ -231,7 +236,7 @@ class CycleDistribution:
         if cap < vals[0]:
             raise ValueError("cap below the smallest support value")
         k = int(np.searchsorted(vals, cap))  # atoms below cap keep their mass
-        tail = np.cumsum(mass[k:])[-1]  # sequential sum, not np.sum's pairwise order
+        tail = _exact_sum(mass[k:])  # correctly rounded: a long tail of 1/n stays summing to 1
         return CycleDistribution(
             "points", values=np.append(vals[:k], cap), probs=np.append(mass[:k], tail)
         )

@@ -359,7 +359,7 @@ class TestNonFiniteInput:
 
 
 class TestSoftDeadlineExperiments:
-    """simulate builds against the relaxed system; sweep refuses soft_eps."""
+    """simulate builds for the tasks truncated at their percentiles; sweep refuses soft_eps."""
 
     def experiment(self, tmp_path, **simulation):
         system = {
@@ -391,13 +391,35 @@ class TestSoftDeadlineExperiments:
                      "--out", str(out)]) == 0
         return out.read_text().splitlines()[1:]
 
-    @pytest.mark.parametrize("soft_wcec", ["kappa", "true_wcec"])
-    def test_simulate_builds_for_the_relaxed_deadline(self, tmp_path, soft_wcec):
+    def test_simulate_builds_for_the_truncated_tasks(self, tmp_path):
         hard = self.rows(tmp_path)
-        soft = self.rows(tmp_path, soft_eps=0.2, soft_wcec=soft_wcec)
+        soft = self.rows(tmp_path, soft_eps=0.2)
         assert [r.split(",")[0] for r in soft] == [r.split(",")[0] for r in hard]
         assert all("NA" not in r.split(",") for r in soft)
         assert soft != hard
+
+    @pytest.mark.parametrize("name", ["ppc405", "xscale"])
+    def test_miss_rate_within_the_union_bound(self, tmp_path, name):
+        """Only a frame with some task above its percentile kappa_i can miss."""
+        eps, n_frames = 0.05, 20_000
+        d = {
+            "system_file": str(CONFIGS / f"{name}.json"),
+            "strategies": json.loads(self.experiment(tmp_path).read_text())["strategies"],
+            "simulation": {"n_frames": n_frames, "seed": 11, "soft_eps": eps},
+        }
+        out = tmp_path / "stats.csv"
+        assert main(["simulate", "--config", str(write_json(tmp_path / "exp.json", d)),
+                     "--out", str(out)]) == 0
+        bound = 0.0
+        for t in load_system(CONFIGS / f"{name}.json").tasks:
+            vals, mass = t.dist.atoms()
+            bound += math.fsum(mass[vals > t.dist.percentile(eps)].tolist())
+        assert 0.0 < bound < 1.0
+        slack = 3.0 * math.sqrt(bound * (1.0 - bound) / n_frames)
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["limit", "dpms_up", "dpms_closest", "pitdvs"]
+        for r in rows:
+            assert float(r[4]) <= bound + slack, r
 
     def test_sweep_rejects_soft_eps(self, tmp_path, capsys):
         cfg = self.experiment(tmp_path, soft_eps=0.2)
@@ -427,6 +449,8 @@ class TestMalformedFiles:
                          "pitdvs only", id="params-on-dpms"),
             pytest.param("sweep", "exp", _set(("simulation", "n_frame"), 5), "n_frame",
                          id="simulation-unknown-key"),
+            pytest.param("simulate", "exp", _set(("simulation", "soft_wcec"), "kappa"), "soft_wcec",
+                         id="simulation-soft_wcec"),
             pytest.param("check", "sys", _set(("cpu",), []), None, id="system-cpu-list"),
             pytest.param("check", "sys", _set(("tasks", 0, "dist"), []), None,
                          id="system-dist-list"),

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,8 @@ from framedvs import (
     sweep_deadlines,
 )
 from framedvs import simulator
-from framedvs.config import load_system
+from framedvs.cli import _build_entry, _soft_build_system
+from framedvs.config import StrategyEntry, load_system
 from framedvs.simulator import _exact_sum, evaluate, sample_cycles
 
 import gen
@@ -628,6 +630,28 @@ def test_sweeps_with_overheads_never_miss():
         )
         for c in table.cells:
             assert c.stats is None or c.stats.miss_rate == 0, (sysd, c)
+
+
+@pytest.mark.parametrize("overheads", [False, True], ids=["overheads-off", "overheads-on"])
+def test_soft_builds_never_miss_within_the_percentiles(overheads):
+    """simulate's soft_eps strategies meet the true deadline when every draw is <= its kappa."""
+    entries = [StrategyEntry("limit", "limit"), StrategyEntry("dpms_up", "dpms", "up"),
+               StrategyEntry("dpms_closest", "dpms", "closest"),
+               StrategyEntry("pitdvs_up", "pitdvs", "up"), StrategyEntry("pitdvs", "pitdvs")]
+    builders = [(e.name, partial(_build_entry, e)) for e in entries]
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    rng = np.random.default_rng(17)
+    systems = [load_system(configs / "ppc405.json"), load_system(configs / "xscale.json")]
+    systems += [gen.realistic_feasible_system(rng, with_overheads=overheads) for _ in range(6)]
+    for sysd in systems:
+        for eps in (0.05, 0.2):
+            build_sys = _soft_build_system(sysd, eps)
+            assert build_sys.deadline == sysd.deadline
+            kappa = np.array(build_sys.wcecs, dtype=np.float64)
+            cycles = np.minimum(sample_cycles(sysd, rng, 1000), kappa)
+            cycles[0] = kappa
+            for name, st in evaluate(sysd, build_sys, builders, cycles, overheads).items():
+                assert st is not None and st.miss_rate == 0, (sysd, eps, name)
 
 
 def test_evaluate_frees_each_run_before_the_next():

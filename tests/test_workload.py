@@ -180,6 +180,15 @@ class TestMoments:
     def test_uniform_mean_exact(self):
         assert CycleDistribution.uniform(1, 10).mean() == 5.5
 
+    def test_mean_built_once_from_the_atoms(self, monkeypatch):
+        d = CycleDistribution.histogram(7, np.random.default_rng(3).dirichlet(np.ones(30)))
+        want = float(np.dot(*d.atoms()))
+        calls = []
+        atoms = CycleDistribution.atoms
+        monkeypatch.setattr(CycleDistribution, "atoms", lambda self: calls.append(1) or atoms(self))
+        assert [d.mean() for _ in range(3)] == [want] * 3
+        assert len(calls) == 1
+
     def test_percentile_uniform(self):
         assert CycleDistribution.uniform(1, 10).percentile(0.2) == 8
 
@@ -461,7 +470,7 @@ class TestTruncated:
         assert dict(zip(t.values, t.probs)) == pytest.approx({10: 0.5, 20: 0.5})
 
     def test_matches_loop_reference(self):
-        """Bit for bit the same as summing the clamped tail one atom at a time."""
+        """Bit for bit the atoms below cap, then the correctly rounded sum of the clamped tail."""
         rng = np.random.default_rng(4)
         dists = [CycleDistribution.uniform(3, 90), CycleDistribution.histogram(7, rng.dirichlet(np.ones(30)))]
         for _ in range(10):
@@ -470,9 +479,8 @@ class TestTruncated:
         for d in dists:
             vals, mass = d.atoms()
             for cap in rng.integers(vals[0], vals[-1], 5).tolist():
-                expect: dict[int, float] = {}
-                for v, p in zip(vals.tolist(), mass.tolist()):
-                    expect[min(v, cap)] = expect.get(min(v, cap), 0.0) + p
+                expect = {v: p for v, p in zip(vals.tolist(), mass.tolist()) if v < cap}
+                expect[cap] = math.fsum(p for v, p in zip(vals.tolist(), mass.tolist()) if v >= cap)
                 t = d.truncated(cap)
                 assert t.values.tolist() == list(expect)
                 assert t.probs.tolist() == list(expect.values())
@@ -480,6 +488,16 @@ class TestTruncated:
     def test_noop_above_max(self):
         d = CycleDistribution.uniform(1, 10)
         assert d.truncated(10) is d
+
+    def test_wide_uniform_tail_still_sums_to_one(self):
+        """266,071 tail atoms of 1/n summed left to right drift past the sum-to-1 tolerance."""
+        n = 1_330_351
+        d = CycleDistribution.uniform(1, n)
+        cap = d.percentile(0.2)
+        t = d.truncated(cap)
+        assert t.values[-1] == cap and len(t.values) == cap
+        assert t.probs[-1] == math.fsum([1.0 / n] * (n - cap + 1))
+        assert abs(math.fsum(t.probs.tolist()) - 1.0) <= 2.0**-52
 
 
 class TestSoftDeadline:
