@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from framedvs import workload
+from framedvs import cli, workload
 from framedvs.cli import main
 from framedvs.config import (
     SimulationSettings,
@@ -21,6 +21,7 @@ from framedvs.config import (
     write_histogram_csv,
 )
 from framedvs.core import CapExceededError
+from framedvs.simulator import evaluate
 from framedvs.workload import CycleDistribution
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -391,12 +392,31 @@ class TestSoftDeadlineExperiments:
                      "--out", str(out)]) == 0
         return out.read_text().splitlines()[1:]
 
-    def test_simulate_builds_for_the_truncated_tasks(self, tmp_path):
+    @pytest.mark.parametrize("built_for", ["kappa", "true_deadline"])
+    def test_simulate_builds_for_the_relaxed_deadline(self, tmp_path, monkeypatch, built_for):
+        """soft_eps relaxes the deadline by percentile: the strategies are built for the
+        tasks truncated at their percentiles kappa_i, against the true deadline."""
+        seen = []
+
+        def spy(system, build_sys, *rest):
+            seen.append((system, build_sys))
+            return evaluate(system, build_sys, *rest)
+
+        monkeypatch.setattr(cli, "evaluate", spy)
         hard = self.rows(tmp_path)
         soft = self.rows(tmp_path, soft_eps=0.2)
         assert [r.split(",")[0] for r in soft] == [r.split(",")[0] for r in hard]
         assert all("NA" not in r.split(",") for r in soft)
         assert soft != hard
+        system, build_sys = seen[-1]
+        if built_for == "kappa":
+            kappa = [t.dist.percentile(0.2) for t in system.tasks]
+            assert kappa == [300, 200]
+            assert [t.wcec for t in build_sys.tasks] == kappa
+            assert [int(t.dist.atoms()[0].max()) for t in build_sys.tasks] == kappa
+        else:
+            assert build_sys.deadline == system.deadline == 9.0e-7
+            assert build_sys.cpu == system.cpu
 
     @pytest.mark.parametrize("name", ["ppc405", "xscale"])
     def test_miss_rate_within_the_union_bound(self, tmp_path, name):
