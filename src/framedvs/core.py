@@ -25,8 +25,6 @@ __all__ = [
     "FrameSystem",
     "StepFunction",
     "StrategySet",
-    "as_cycle_array",
-    "as_cycles",
     "eval_step",
     "normalize_steps",
     "quantize",
@@ -118,9 +116,9 @@ class FrequencyTable:
     """Discrete CPU speeds with per-mode power and switch-time penalties.
 
     ``switch_penalty[i][j]`` is the time lost when a job switch changes the
-    frequency from mode i to mode j; ``same_speed_switch[j]`` is the job
-    switch time when the frequency stays at mode j. The worst change
-    penalty must be the slowest-to-fastest entry.
+    frequency from mode i to mode j; its diagonal must be 0, because
+    ``same_speed_switch[j]`` is the job switch time when the frequency stays
+    at mode j. The worst change penalty must be the slowest-to-fastest entry.
 
     ``switch_cost[i][j]`` is what a job switch from mode i to mode j costs:
     the change penalty off the diagonal, the same-speed time on it. It is
@@ -159,6 +157,11 @@ class FrequencyTable:
             raise ValueError("switch penalty table must be MxM")
         if any(x < 0 for row in pt for x in row):
             raise ValueError("switch penalties must be nonnegative")
+        if any(map(operator.getitem, pt, range(m))):
+            raise ValueError(
+                "switch penalty diagonal must be 0: same-speed switch times go in"
+                " same_speed_switch (st_vector_s)"
+            )
         if max(x for row in pt for x in row) != pt[0][m - 1]:
             raise ValueError(
                 "worst change penalty must be the slowest-to-fastest entry"

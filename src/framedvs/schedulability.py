@@ -94,21 +94,22 @@ class CheckReport:
 
 
 def _zones_from_wcecs(
-    wcecs, deadline: float, f_max: float, per_switch: float = 0.0
-) -> list[float]:
-    # Backward chain z[i] = (z[i+1] - per_switch) - w_i/f_max. In plain and
-    # sufficient mode this is bit for bit DangerZones.crossing at f_max, so a
-    # built strategy's top step starting at z[i] passes its own check.
-    z = [0.0] * (len(wcecs) + 1)
-    z[len(wcecs)] = deadline
-    for i in range(len(wcecs) - 1, -1, -1):
-        z[i] = (z[i + 1] - per_switch) - wcecs[i] / f_max
-    return z
+    wcecs, deadline: float, f_max: float, per_switch: float = 0.0, margin: float = 0.0
+) -> DangerZones:
+    # One backward pass: z[i] = (z[i+1] - per_switch) - w_i/f_max and
+    # targets[i] = z[i+1] - margin, which is z[i+1] bit for bit when margin is
+    # 0.0. In plain and sufficient mode z[i] is bit for bit DangerZones.crossing
+    # at f_max, so a built strategy's top step starting at z[i] passes its own check.
+    z, targets = [deadline], []
+    for w in reversed(wcecs):
+        targets.append(z[-1] - margin)
+        z.append((z[-1] - per_switch) - w / f_max)
+    return DangerZones(tuple(reversed(z)), tuple(reversed(targets)))
 
 
 def danger_zones(sys: FrameSystem) -> DangerZones:
     """Plain zones; negative values mean the system can never be scheduled."""
-    return DangerZones(tuple(_zones_from_wcecs(sys.wcecs, sys.deadline, sys.cpu.f_max)))
+    return _zones_from_wcecs(sys.wcecs, sys.deadline, sys.cpu.f_max)
 
 
 def danger_zones_overhead(sys: FrameSystem, mode: str) -> DangerZones:
@@ -127,16 +128,14 @@ def danger_zones_overhead(sys: FrameSystem, mode: str) -> DangerZones:
     inequality and still overrun the deadline by up to one penalty.
     """
     if mode == "plain":
-        per_switch = 0.0
+        per_switch = margin = 0.0
     elif mode == "necessary":
-        per_switch = sys.cpu.same_speed_at_max
+        per_switch, margin = sys.cpu.same_speed_at_max, 0.0
     elif mode == "sufficient":
-        per_switch = sys.cpu.change_penalty_max
+        per_switch = margin = sys.cpu.change_penalty_max
     else:
         raise ValueError(f"unknown overhead mode {mode!r}")
-    z = _zones_from_wcecs(sys.wcecs, sys.deadline, sys.cpu.f_max, per_switch)
-    targets = tuple(zk - per_switch for zk in z[1:]) if mode == "sufficient" else None
-    return DangerZones(tuple(z), targets)
+    return _zones_from_wcecs(sys.wcecs, sys.deadline, sys.cpu.f_max, per_switch, margin)
 
 
 def limit(sys: FrameSystem, zones: DangerZones, i: int, t: float) -> float:
@@ -209,7 +208,7 @@ def recheck_prefix(
     sys.step_modes(strategy)
     wcecs = list(sys.wcecs)
     wcecs[i] = new_w
-    zones = DangerZones(tuple(_zones_from_wcecs(wcecs, sys.deadline, sys.cpu.f_max)))
+    zones = _zones_from_wcecs(wcecs, sys.deadline, sys.cpu.f_max)
     return _check_zones(wcecs, strategy.funcs, zones, i + 1)
 
 

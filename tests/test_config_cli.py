@@ -21,7 +21,8 @@ from framedvs.config import (
     write_histogram_csv,
 )
 from framedvs.core import CapExceededError
-from framedvs.simulator import evaluate
+from framedvs.simulator import SimStats, SweepCell, SweepTable, evaluate
+from framedvs.svgchart import write_ratio_chart
 from framedvs.workload import CycleDistribution
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -86,6 +87,14 @@ class TestConfigRoundTrip:
             assert sysd.n_tasks >= 1
         cfg = load_experiment(CONFIGS / "experiment_showcase.json")
         assert cfg.sweep is not None
+
+    def test_histogram_system_roundtrip(self):
+        system = load_system(CONFIGS / "ppc405.json")
+        d = system_to_dict(system)
+        assert {t["dist"]["kind"] for t in d["tasks"]} == {"histogram"}
+        assert system_from_dict(d) == system
+        cfg = experiment_from_dict({"system": d, "strategies": [{"name": "a", "kind": "limit"}]})
+        assert experiment_to_dict(cfg)["system"] == d
 
     def test_histogram_csv_roundtrip(self, tmp_path):
         d = CycleDistribution.histogram(250, (0.1, 0.0, 0.4, 0.5))
@@ -261,6 +270,38 @@ class TestCmdSimulateSweep:
         d[section][key] = "@COUNT@"
         cfg.write_text(json.dumps(d).replace('"@COUNT@"', text))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_without_out_prints_the_csv(self, tmp_path, capsys, command):
+        cfg = self.experiment(tmp_path)
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert main([command, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_simulate_prints_na_for_an_infeasible_strategy(self, tmp_path, capsys):
+        d = json.loads(self.experiment(tmp_path).read_text())
+        d["system"]["deadline_s"] = 1.0e-7  # below the total work at top speed
+        cfg = write_json(tmp_path / "exp.json", d)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows == [f"{s['name']},500,NA,NA,NA,NA,NA" for s in d["strategies"]]
+
+    def test_sweep_without_sweep_section_exits_two(self, tmp_path, capsys):
+        d = json.loads(self.experiment(tmp_path).read_text())
+        del d["sweep"]
+        cfg = write_json(tmp_path / "exp.json", d)
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: config has no sweep section\n"
+
+    def test_one_deadline_chart(self, tmp_path):
+        stats = SimStats(10, 1.0, 0.0, 0.0, 0.0)
+        table = SweepTable((SweepCell(0.5, "a", stats, 1.0), SweepCell(0.5, "b", stats, 0.8)), "a")
+        svg = tmp_path / "one.svg"
+        write_ratio_chart(table, svg)
+        text = svg.read_text()
+        assert text.startswith("<svg") and "nan" not in text and "inf" not in text
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = self.experiment(tmp_path)
@@ -535,6 +576,16 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert str(csv) in err
         assert f"bin edge {edge} " in err
+
+    def test_switch_penalty_diagonal_exits_two(self, tmp_path, capsys):
+        """Same-speed times on the pt_matrix_s diagonal would be read as zero."""
+        d = small_system_dict()
+        d["cpu"]["pt_matrix_s"] = [[5e-7, 2e-6], [1e-6, 5e-7]]
+        path = write_json(tmp_path / "sys.json", d)
+        assert main(["soft-deadline", "--system", str(path), "--eps", "0.05"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "st_vector_s" in err
 
     def test_system_and_system_file_together_exit_two(self, tmp_path, capsys):
         exp = TestCmdSimulateSweep().experiment(tmp_path)

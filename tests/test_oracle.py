@@ -302,3 +302,10 @@ class TestLazyWitness:
         assert a.witness == b.witness
         slower = StrategySet((strat.funcs[0], StepFunction(((0.0, 500.0),))))
         assert worst_finish_oracle(sysd, slower) != a
+
+    def test_equality_with_another_type_is_not_implemented(self):
+        sysd, strat = inversion_instance()
+        rep = worst_finish_oracle(sysd, strat)
+        assert rep.__eq__(object()) is NotImplemented
+        assert rep != object()
+        assert rep._starts is not None  # comparing with another type reads no witness

@@ -296,7 +296,7 @@ class TestRecheckPrefix:
         from framedvs.schedulability import _zones_from_wcecs
 
         grown = _zones_from_wcecs((500, 200, 300), 1.0, 1000.0)
-        assert grown[1:] == list(zones.z[1:])
+        assert grown.z[1:] == zones.z[1:]
 
     def test_blown_budget_fails(self):
         sysd = make_system((100, 100), 1.0, freqs=(500.0, 1000.0))

@@ -680,6 +680,13 @@ class TestMonteCarlo:
         assert st.energy_stderr == 0.0
         assert st.miss_rate == 0.0
 
+    def test_one_frame_has_zero_stderr(self):
+        rng = np.random.default_rng(8)
+        sysd = gen.realistic_feasible_system(rng)
+        st = monte_carlo(sysd, build_limit(sysd, danger_zones(sysd)), 1, seed=3)
+        assert st.frames == 1
+        assert st.energy_stderr == 0.0
+
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(8)
         sysd = gen.realistic_feasible_system(rng)

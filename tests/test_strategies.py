@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -246,3 +248,11 @@ class TestRuleFromForward:
                 assert bisected.inverse(i, f) == pytest.approx(
                     closed.inverse(i, f), abs=2e-9
                 )
+
+    def test_speeds_outside_the_forward_range_cross_at_infinity(self):
+        """A rule already at f by t = 0 crosses at -inf; one below f at the horizon, at +inf."""
+        rule = rule_from_forward(lambda i, t: 100.0 + 100.0 * t, 1.0)
+        assert rule.inverse(0, 100.0) == -math.inf
+        assert rule.inverse(0, 50.0) == -math.inf
+        assert rule.inverse(0, 250.0) == math.inf
+        assert 0.0 < rule.inverse(0, 150.0) < 1.0
