@@ -284,9 +284,6 @@ class StepFunction:
             raise ValueError("step times and frequencies must be finite")
         object.__setattr__(self, "_times", times)
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 @dataclass(frozen=True)
 class StrategySet:

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import math
 import pickle
@@ -403,6 +404,59 @@ class TestConvolve:
             convolve([a, a])
 
 
+def mixed_dists(rng):
+    """Uniforms (some of a single value), histograms with empty bins and
+    runs of equal mass, and points with zero masses, ends included. Cases
+    with ``g > 1`` keep every support on a multiple-of-g grid."""
+    g = int(rng.choice([1, 1, 3, 10]))
+    dists = []
+    for _ in range(int(rng.integers(1, 5))):
+        kind = int(rng.integers(3))
+        if kind == 0:
+            lo = int(rng.integers(1, 300))
+            width = 0 if g > 1 or rng.random() < 0.3 else int(rng.integers(1, 200))
+            dists.append(CycleDistribution.uniform(lo, lo + width))
+            continue
+        n_runs = int(rng.integers(1, 5))
+        levels = rng.uniform(0.1, 1, n_runs)
+        levels[rng.random(n_runs) < 0.3] = 0.0
+        mass = np.repeat(levels, rng.integers(1, 12, n_runs))
+        if mass.sum() == 0.0:
+            mass[-1] = 1.0
+        if kind == 1:
+            dists.append(CycleDistribution.histogram(g * int(rng.integers(1, 6)), mass / mass.sum()))
+        else:
+            values = g * (int(rng.integers(1, 40)) + np.arange(len(mass)) * int(rng.integers(1, 3)))
+            dists.append(CycleDistribution("points", values=values, probs=mass / mass.sum()))
+    return dists
+
+
+class TestConvolveBits:
+    """The bytes of convolve's values and probs, recorded before its
+    internals changed: a rewrite that moves one bit fails here."""
+
+    @staticmethod
+    def digest(results):
+        h = hashlib.sha256()
+        for c in results:
+            h.update(c.values.tobytes() + c.probs.tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("name, recorded", [
+        ("xscale", "b4e059a7bf8193879d8bf638b8e6c7c6ed24cc2f4bf91618ef471633d27a846b"),
+        ("ppc405", "b0fbd5af244a7f2df44a6e69721a8ccb988d6da5c4fcf119130b89a7bccb5998"),
+    ])
+    def test_shipped_configs(self, name, recorded):
+        system = load_system(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
+        assert self.digest([convolve(t.dist for t in system.tasks)]) == recorded
+
+    def test_seeded_mix(self):
+        rng = np.random.default_rng(20)
+        assert self.digest(convolve(mixed_dists(rng)) for _ in range(300)) == (
+            "73f0e7a78a47137154504758416b7e010915dbd196e0896bd08d8aa7e0073148"
+        )
+
+
 class TestRunningSums:
     """Convolution adds each run of equal mass as a difference of running sums."""
 
@@ -529,6 +583,18 @@ class TestSoftDeadline:
         r = soft_deadline(system_of([end_bins(3000), end_bins(2000)]), 0.6)
         # sum is 2, 2001, 3001, 5000 with 1/4 each: P[sum < 3001] = .5 > .4
         assert r.frame_percentile == 3001
+
+    def test_xscale_report_memory(self):
+        """Peak traced memory of one xscale report: 51.5 MiB while uniforms
+        were convolved from their atoms, 36.6 MiB from their runs."""
+        xscale = load_system(Path(__file__).resolve().parent.parent / "configs" / "xscale.json")
+        tracemalloc.start()
+        try:
+            soft_deadline(xscale, 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     def test_eps_validated(self):
         sys0 = system_of([CycleDistribution.uniform(1, 4)])
