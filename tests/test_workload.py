@@ -431,6 +431,32 @@ def mixed_dists(rng):
     return dists
 
 
+def wide_dists(rng):
+    """Mixes whose sum grids span several 32K-element chunks: uniforms up
+    to 90k wide, degenerate tasks (one run of length 1 that covers the
+    task's grid), histograms with empty bins and sparse points. Cases with
+    ``g > 1`` have no wide uniform and keep every support on a
+    multiple-of-g grid."""
+    g = int(rng.choice([1, 1, 7]))
+    dists = []
+    for _ in range(int(rng.integers(1, 6))):
+        kind = int(rng.integers(4))
+        if kind == 0 and g == 1:
+            lo = int(rng.integers(1, 5000))
+            dists.append(CycleDistribution.uniform(lo, lo + int(rng.integers(1, 90_001))))
+        elif kind <= 1:
+            dists.append(CycleDistribution.degenerate(g * int(rng.integers(1, 5000))))
+        elif kind == 2:
+            mass = rng.uniform(0.1, 1, int(rng.integers(2, 40)))
+            mass[rng.random(len(mass)) < 0.3] = 0.0
+            mass[-1] = 1.0
+            dists.append(CycleDistribution.histogram(g * int(rng.integers(1, 2500)), mass / mass.sum()))
+        else:
+            values = g * np.unique(rng.integers(1, 30_000, int(rng.integers(2, 20))))
+            dists.append(CycleDistribution("points", values=values, probs=rng.dirichlet(np.ones(len(values)))))
+    return dists
+
+
 class TestConvolveBits:
     """The bytes of convolve's values and probs, recorded before its
     internals changed: a rewrite that moves one bit fails here."""
@@ -454,6 +480,21 @@ class TestConvolveBits:
         rng = np.random.default_rng(20)
         assert self.digest(convolve(mixed_dists(rng)) for _ in range(300)) == (
             "73f0e7a78a47137154504758416b7e010915dbd196e0896bd08d8aa7e0073148"
+        )
+
+    def test_seeded_wide_mix(self):
+        """Recorded before convolve wrote its differences in chunks."""
+        rng = np.random.default_rng(21)
+        assert self.digest(convolve(wide_dists(rng)) for _ in range(60)) == (
+            "ef825031d89fec6db136d6fb7351dff87dae67b1cac83cc730798a313a7880cb"
+        )
+
+    def test_xscale_with_degenerates(self):
+        """Four length-1 runs over a 1.5M-index grid, each differencing the whole sum."""
+        xscale = load_system(Path(__file__).resolve().parent.parent / "configs" / "xscale.json")
+        dists = [t.dist for t in xscale.tasks] + [CycleDistribution.degenerate(7)] * 4
+        assert self.digest([convolve(dists)]) == (
+            "51f7ec58b0b98aa444d16a0e165efd8506559b6fef3bf58aaed1b6b483b54e59"
         )
 
 
@@ -554,6 +595,39 @@ class TestTruncated:
         assert abs(math.fsum(t.probs.tolist()) - 1.0) <= 2.0**-52
 
 
+class TestFirstCdfAbove:
+    """The chunked percentile search against the full cumulative sum."""
+
+    @pytest.mark.parametrize("seed, n", [(0, 10), (1, 3 * workload._CHUNK + 123), (2, 2 * workload._CHUNK)])
+    def test_same_index_as_searchsorted(self, seed, n):
+        rng = np.random.default_rng(seed)
+        p = rng.random(n)
+        p[rng.random(n) < 0.2] = 0.0  # flat stretches: ties in the cumulative sum
+        p /= p.sum()
+        cdf = np.cumsum(p)
+        chunk = workload._CHUNK
+        # crossings in the first chunk, on both sides of each chunk boundary
+        # and at the last element; ties; then at and above the float total
+        at = [1, 5, n // 2, n - 1] + [k for b in range(chunk, n, chunk) for k in (b - 1, b, b + 1)]
+        thresholds = [0.0, cdf[-1], 2.0, float(np.nextafter(cdf[-1], 3.0))]
+        for k in at:
+            thresholds += [cdf[k - 1], (cdf[k - 1] + cdf[k]) / 2]
+        thresholds += rng.random(20).tolist()
+        for thr in thresholds:
+            want = int(np.searchsorted(cdf, thr, side="right"))
+            assert workload._first_cdf_above(p, thr) == want, thr
+        assert workload._first_cdf_above(p, 2.0) == n
+
+    def test_crossing_at_each_chunk_edge(self):
+        """One atom of mass carries the crossing onto a chosen index."""
+        chunk = workload._CHUNK
+        for k in (0, chunk - 1, chunk, 2 * chunk, 3 * chunk - 1):
+            p = np.zeros(3 * chunk)
+            p[k] = 0.75
+            p[-1] += 0.25
+            assert workload._first_cdf_above(p, 0.5) == k
+
+
 class TestSoftDeadline:
     def test_degenerate_keeps_deadline(self):
         sys0 = system_of([CycleDistribution.degenerate(w) for w in (100, 200)], deadline=2.0)
@@ -586,7 +660,9 @@ class TestSoftDeadline:
 
     def test_xscale_report_memory(self):
         """Peak traced memory of one xscale report: 51.5 MiB while uniforms
-        were convolved from their atoms, 36.6 MiB from their runs."""
+        were convolved from their atoms, 36.6 MiB from their runs in two
+        buffers with a full-length cumulative sum for the percentile, 25.2 MiB
+        in one buffer with the percentile found chunk by chunk."""
         xscale = load_system(Path(__file__).resolve().parent.parent / "configs" / "xscale.json")
         tracemalloc.start()
         try:
@@ -594,7 +670,7 @@ class TestSoftDeadline:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2**20
+        assert peak < 28 * 2**20
 
     def test_eps_validated(self):
         sys0 = system_of([CycleDistribution.uniform(1, 4)])
