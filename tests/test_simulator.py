@@ -17,6 +17,7 @@ from framedvs import (
     TaskSpec,
     build_limit,
     danger_zones,
+    danger_zones_overhead,
     discretize,
     dpms_rule,
     eval_step,
@@ -459,6 +460,89 @@ class TestBandedStepLookup:
                 assert straddled == (kind == "A"), (i, ov)
         self.check(monkeypatch, sysd, funcs, cycles)
 
+    def test_bands_of_128_or_more_step_times(self, monkeypatch):
+        """A band of 128 or more step times is past the int8 count and takes
+        the binary search; bands on either side of such a task, a NaN start
+        (every step in the band) and starts tied to step times included."""
+        sysd = self.system(4)
+        cycles = self.cycles(4, n_frames=60, seed=4)
+        cycles[5, 0] = np.nan
+        speeds = self.CPU.freqs
+        dense = lambda lo, hi, n: StepFunction(tuple(
+            (0.0 if j == 0 else lo + (hi - lo) * j / n, speeds[j % 3]) for j in range(n)
+        ))
+        funcs = [
+            StepFunction(((0.0, 100.0),)),
+            dense(1.0, 2.0, 200),  # starts c / 100 in [1, 2]: ties at j / 200
+            StepFunction(((0.0, 400.0), (1.8, 200.0), (2.4, 100.0))),
+            dense(0.0, 12.0, 2_000),
+        ]
+        starts = np.array(scalar_replay(sysd, funcs, cycles, False)[0])[:, :-1]
+        for i in (1, 3):
+            times = np.array(funcs[i]._times[1:])
+            s = starts[:, i - 1][~np.isnan(starts[:, i - 1])]
+            assert ((times > s.min()) & (times <= s.max())).sum() >= 128, i
+        assert np.isin(starts[:, 0], funcs[1]._times).sum() > 5
+        self.check(monkeypatch, sysd, funcs, cycles)
+
+    def test_more_changes_a_frame_than_int8_holds(self, monkeypatch):
+        """130 tasks alternate between the slowest and the fastest speed, so
+        every frame changes speed 129 times; dense equal-speed steps make
+        those changes array compares in every block of more than one frame."""
+        n_tasks = 130
+        sysd = replace(self.system(n_tasks), deadline=1e3)
+        cycles = self.cycles(n_tasks, n_frames=30, seed=5)
+        funcs = [
+            StepFunction(tuple((x, 400.0 if i % 2 else 100.0) for x in np.arange(0.0, 150.0, 0.5)))
+            for i in range(n_tasks)
+        ]
+        self.check(monkeypatch, sysd, funcs, cycles)
+        changes = run_frames(sysd, StrategySet(tuple(funcs)), cycles)[3]
+        assert np.all(changes == n_tasks - 1)
+
+    def test_out_buffers_are_overwritten_in_full(self, monkeypatch):
+        """``out`` arrays filled with garbage (NaN energy and switch time, -1
+        changes, every frame missed) come back with the bits of fresh arrays,
+        and are the arrays returned."""
+        sysd = self.system(3)
+        cycles = self.cycles(3, n_frames=40, seed=6)
+        funcs = StrategySet((
+            StepFunction(((0.0, 100.0),)),
+            StepFunction(((0.0, 100.0), (1.5, 400.0), (5.0, 200.0))),
+            StepFunction(((0.0, 200.0), (1.8, 100.0), (2.3, 400.0))),
+        ))
+        n = len(cycles)
+        for block in (1, 7, None):
+            monkeypatch.setattr(simulator, "_FRAME_BLOCK", block or n)
+            for ov in (False, True):
+                want = run_frames(sysd, funcs, cycles, ov)
+                assert want[3].any() and (not ov or want[2].any()), (block, ov)
+                out = (np.full(n, np.nan), np.full(n, np.nan), np.full(n, -1), np.ones(n, dtype=bool))
+                got = run_frames(sysd, funcs, cycles, ov, out=out)
+                assert all(g is o for g, o in zip(got[1:], out))
+                assert_equals_replay(got, want, (block, ov))
+                assert_equals_replay(got, every_step_run_frames(sysd, funcs, cycles, ov), (block, ov))
+
+    def test_wrong_out_buffers_are_refused(self):
+        sysd = self.system(2)
+        funcs = StrategySet((StepFunction(((0.0, 100.0),)), StepFunction(((0.0, 100.0), (1.5, 400.0)))))
+        cycles = self.cycles(2, n_frames=10)
+        good = (np.empty(10), np.empty(10), np.empty(10, dtype=np.int64), np.empty(10, dtype=bool))
+        bad = [
+            good[:3],
+            good + (np.empty(10),),
+            (np.empty(11),) + good[1:],
+            good[:1] + (np.empty((10, 1)),) + good[2:],
+            (np.empty(10, dtype=np.float32),) + good[1:],
+            good[:2] + (np.empty(10, dtype=np.int32),) + good[3:],
+            good[:3] + (np.empty(10),),
+            good[:3] + ([False] * 10,),
+        ]
+        for out in bad:
+            with pytest.raises(ValueError, match="out must be"):
+                run_frames(sysd, funcs, cycles, out=out)
+        assert run_frames(sysd, funcs, cycles, out=good)[1] is good[0]
+
     def test_first_task_reads_its_first_step(self, monkeypatch):
         """The first task starts at 0 in every frame, so its steps after the
         first, however close to 0, never apply."""
@@ -860,6 +944,34 @@ class TestSweep:
             sweep_deadlines(
                 sysd, self.builders(), wsum / sysd.cpu.f_max, wsum / sysd.cpu.f_min, 3, n_frames, seed=1
             )
+
+
+@pytest.mark.parametrize("overheads", [False, True], ids=["overheads-off", "overheads-on"])
+def test_evaluate_reuse_leaves_nothing_stale(overheads):
+    """evaluate fills one set of output arrays for every builder. A flat
+    f_max strategy, with no changes and (zero same-speed switch times) no
+    switch time, runs after strategies with both, and every builder's stats
+    equal a lone run's on fresh arrays."""
+    rng = np.random.default_rng(17)
+    sysd = gen.realistic_feasible_system(rng, n_max=6, slack_lo=1.5, slack_hi=1.8, with_overheads=True)
+    cpu = sysd.cpu
+    sysd = replace(sysd, cpu=FrequencyTable(cpu.freqs, cpu.power, cpu.switch_penalty))
+    cycles = sample_cycles(sysd, rng, 5_000)
+    flat = lambda s, z: StrategySet(tuple(StepFunction(((0.0, s.cpu.f_max),)) for _ in s.tasks))
+    builders = [
+        ("limit", build_limit),
+        ("flat", flat),
+        ("dpms", lambda s, z: discretize(s, z, dpms_rule(s, "closest"), "closest")),
+        ("flat-again", flat),
+    ]
+    got = evaluate(sysd, sysd, builders, cycles, overheads)
+    zones = danger_zones_overhead(sysd, "sufficient" if overheads else "plain")
+    for name, build in builders:
+        alone = simulator._stats(*run_frames(sysd, build(sysd, zones), cycles, overheads)[1:])
+        assert got[name] == alone, name
+    assert got["limit"].mean_frequency_changes > 0
+    assert (got["limit"].mean_switch_time > 0) == overheads
+    assert got["flat"].mean_frequency_changes == got["flat"].mean_switch_time == 0.0
 
 
 def test_evaluate_on_no_frames_is_a_value_error():

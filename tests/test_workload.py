@@ -156,20 +156,39 @@ class TestCountingDraws:
                 got = d.sample_array(FixedUniforms(u), len(u))
                 assert np.array_equal(got, searchsorted_draw(d, u)), (n, d.kind)
 
-    @pytest.mark.parametrize("name", ["ppc405", "xscale"])
-    def test_sample_cycles_pinned_to_searchsorted(self, name):
+    @pytest.mark.parametrize("size", [
+        workload._CHUNK - 1, workload._CHUNK, workload._CHUNK + 1, 2 * workload._CHUNK + 3,
+    ])
+    def test_sizes_across_chunk_edges(self, size):
+        """Draws taken one ``_CHUNK`` of ``u`` at a time give searchsorted's
+        atoms; cdf values and their neighbours repeat through every chunk,
+        so they also sit on either side of each chunk edge."""
+        rng = np.random.default_rng(size)
+        for n in (1, 2, 10, 128, 129):
+            for d in self.dists(n, rng):
+                u = np.resize(self.uniforms(d, rng), size)
+                want = searchsorted_draw(d, u)
+                got = d.sample_array(FixedUniforms(u), size)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (size, n, d.kind)
+
+    @pytest.mark.parametrize("name, n_frames", [
+        pytest.param("ppc405", 20_000, id="ppc405"),
+        pytest.param("xscale", 20_000, id="xscale"),
+        pytest.param("ppc405", 2 * workload._CHUNK + 3, id="ppc405-over-chunk"),
+    ])
+    def test_sample_cycles_pinned_to_searchsorted(self, name, n_frames):
         system = load_system(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
         rng = np.random.default_rng(2024)
-        want = np.empty((20_000, system.n_tasks))
+        want = np.empty((n_frames, system.n_tasks))
         for i, task in enumerate(system.tasks):
             d = task.dist
-            u = rng.random(20_000)
+            u = rng.random(n_frames)
             if d.kind == "uniform":
                 n = d.hi - d.lo + 1
                 want[:, i] = d.lo + np.minimum((u * n).astype(np.int64), n - 1)
             else:
                 want[:, i] = searchsorted_draw(d, u)
-        got = sample_cycles(system, np.random.default_rng(2024), 20_000)
+        got = sample_cycles(system, np.random.default_rng(2024), n_frames)
         assert np.array_equal(got, want)
 
 
