@@ -111,6 +111,25 @@ def _exact_sum(a: np.ndarray) -> float:
     return total / (1 << (53 - e0))
 
 
+def _count_at_or_below(
+    cuts: Sequence[float], x: np.ndarray, count8: np.ndarray, hit: np.ndarray
+) -> np.ndarray:
+    """``np.searchsorted(cuts, x, side="right")`` for sorted ``cuts``: how many
+    cuts are ``<= x``, so a tie counts and a NaN ``x`` lies past every cut.
+
+    Below 128 cuts the count fits in int8 and is ``len(cuts)`` less the cuts
+    above ``x``, one pass per cut into ``count8`` (``hit`` is its bool
+    scratch), which beats the binary search there (Devroye 1986, III.2);
+    the int8 ``count8`` is returned. From 128 cuts on it is the binary search.
+    """
+    if len(cuts) > np.iinfo(np.int8).max:
+        return np.searchsorted(cuts, x, side="right")
+    count8.fill(len(cuts))
+    for c in cuts:
+        count8 -= np.less(x, c, out=hit).view(np.int8)
+    return count8
+
+
 @dataclass(frozen=True)
 class FrequencyTable:
     """Discrete CPU speeds with per-mode power and switch-time penalties.

@@ -21,6 +21,7 @@ from .core import (
     FrameSystem,
     InfeasibleSystemError,
     StrategySet,
+    _count_at_or_below,
     _exact_sum,
     as_cycles,
 )
@@ -97,13 +98,12 @@ def run_frames(
     Frames are independent, and each block keeps every frame's float
     operations in order, so no output depends on the block size. Memory
     is one block per temporary plus the full-length outputs. A task
-    compares its block's start times only with the step times that the
-    block's smallest and largest start straddle, counting them in int8
-    (a band of 128 or more takes a binary search); a block whose starts
-    all lie on one step reads that step's speed and power once, as
-    scalars. Frequency changes are counted per block, scalar ones as a
-    Python int, and switch costs are read from a per-task table indexed
-    by the previous and the current task's step.
+    counts its block's start times only against the step times that the
+    block's smallest and largest start straddle (``_count_at_or_below``);
+    a block whose starts all lie on one step reads that step's speed and
+    power once, as scalars. Frequency changes are counted per block,
+    scalar ones as a Python int, and switch costs are read from a
+    per-task table indexed by the previous and the current task's step.
     """
     modes = sys.step_modes(strategy)
     cycles = np.asarray(cycles, dtype=np.float64)
@@ -137,8 +137,8 @@ def run_frames(
     t_buf, exec_buf = np.empty(size), np.empty(size)
     hit_buf, k8_buf = np.empty(size, dtype=bool), np.empty(size, dtype=np.int8)
     k_bufs = np.empty((2, size), dtype=np.intp)  # this task's step index and the previous one's
-    # a frame changes speed at most n_tasks - 1 times, which int8 holds up to 128 tasks
-    ch_buf = np.empty(size, dtype=np.int8 if sys.n_tasks <= 128 else np.int64)
+    # a frame changes speed at most n_tasks - 1 times
+    ch_buf = np.empty(size, dtype=np.int8 if sys.n_tasks - 1 <= np.iinfo(np.int8).max else np.int64)
     for lo in range(0, n, _FRAME_BLOCK):
         hi = min(lo + _FRAME_BLOCK, n)
         rows = hi - lo
@@ -152,12 +152,11 @@ def run_frames(
         scalar_changes = 0
         prev_f = prev_k = prev_base = None
         for i, (times, fstep, pstep, pair_cost, n_steps) in enumerate(steps):
-            # base + k is the index of the last step time <= t, as
-            # searchsorted(side="right") - 1 gives (a tie takes the later step).
-            # times[:band_lo] are <= every start and times[band_hi:] above every
-            # start, so only the band between is compared; an empty band makes k
-            # one scalar for the whole block. A NaN start (NaN min and max)
-            # compares every step and, like searchsorted, gets the last one.
+            # base + k is the step a start t runs on: the count of step times
+            # <= t. times[:band_lo] are <= every start and times[band_hi:] above
+            # every start, so only the band between is counted; an empty band
+            # makes k one scalar for the whole block. A NaN start (NaN min and
+            # max) counts the whole band and gets the last step.
             t_min, t_max = float(t.min()), float(t.max())
             if t_min <= t_max:
                 band_lo, band_hi = bisect_right(times, t_min), bisect_right(times, t_max)
@@ -165,18 +164,9 @@ def run_frames(
                 band_lo, band_hi = 0, len(times)
             base, k = band_hi, 0
             if band_lo < band_hi:
-                k = k_bufs[i % 2, :rows]
-                if band_hi - band_lo < 128:
-                    # the band's length less its step times above t, counted in
-                    # int8 and widened once for the gathers
-                    base = band_lo
-                    k8.fill(band_hi - band_lo)
-                    for x in times[band_lo:band_hi]:
-                        k8 -= np.less(t, x, out=hit).view(np.int8)
-                    k[:] = k8
-                else:
-                    base = 0
-                    k[:] = np.searchsorted(times, t, side="right")
+                # widened once to intp for the gathers
+                base, k = band_lo, k_bufs[i % 2, :rows]
+                k[:] = _count_at_or_below(times[band_lo:band_hi], t, k8, hit)
             f = fstep[base:][k]
             if prev_f is not None:
                 # speeds are strictly increasing, so equal speed is equal mode

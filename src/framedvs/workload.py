@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .core import CapExceededError, _exact_sum, as_cycle_array, as_cycles
+from .core import CapExceededError, _count_at_or_below, _exact_sum, as_cycle_array, as_cycles
 
 if TYPE_CHECKING:
     from .core import FrameSystem
@@ -200,16 +200,12 @@ class CycleDistribution:
     def sample_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized draws via inverse CDF on one uniform ``u`` per draw.
 
-        Atom draws take index ``min(searchsorted(cdf, u, "right"), n - 1)``
-        of the n atoms. Because ``cdf`` never decreases, that index is the
-        count of ``cdf[:-1]`` values ``<= u``, ties included, so up to 128
-        atoms (the range of the int8 counter) the index is counted in one
-        pass per atom (Devroye 1986, III.2), which is cheaper than the
-        binary search there. Both give the same draws from the same ``u``.
-        The count runs over ``_CHUNK`` draws at a time, so its buffers stay
-        in cache, and ``np.take`` reads the atoms: it widens each chunk's
-        counts to ``intp`` once, which gathers about three times faster
-        than indexing with the int8 counts.
+        An atom draw takes the atom at index
+        ``min(searchsorted(cdf, u, "right"), n - 1)`` of the n atoms: the
+        count of ``cdf[:-1]`` values ``<= u`` (``_count_at_or_below``),
+        taken ``_CHUNK`` draws at a time so its buffers stay in cache.
+        ``np.take`` widens each chunk's counts to ``intp`` once, which
+        gathers about three times faster than indexing with int8 counts.
         """
         u = rng.random(size)
         if self.kind == "uniform":
@@ -221,21 +217,15 @@ class CycleDistribution:
             idx += self.lo
             return idx
         vals, mass = self.atoms()
-        cdf = np.cumsum(mass)
-        if len(vals) > 128:
-            return vals[np.minimum(np.searchsorted(cdf, u, side="right"), len(vals) - 1)]
-        cuts = cdf[:-1].tolist()
+        cuts = np.cumsum(mass)[:-1]
         out = np.empty(size, dtype=vals.dtype)
         chunk = min(size, _CHUNK)
         count, hit = np.empty(chunk, dtype=np.int8), np.empty(chunk, dtype=bool)
         for lo in range(0, size, _CHUNK):
             part = u[lo:lo + _CHUNK]
-            n8, h = count[:len(part)], hit[:len(part)]
-            n8.fill(0)
-            for c in cuts:
-                n8 += np.greater_equal(part, c, out=h).view(np.int8)
+            idx = _count_at_or_below(cuts, part, count[:len(part)], hit[:len(part)])
             # every count is a valid index, so "clip" changes none; it lets take write in place
-            np.take(vals, n8, out=out[lo:lo + len(part)], mode="clip")
+            np.take(vals, idx, out=out[lo:lo + len(part)], mode="clip")
         return out
 
     def sample(self, rng: np.random.Generator) -> int:
@@ -318,27 +308,29 @@ def _run_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.column_stack((first[np.append(0, cut + 1)], last[np.append(cut, -1)]))
 
 
-def _span(d: CycleDistribution) -> tuple[int, int, int]:
-    """First and last support values and the gcd of the gaps between them (0 for one value)."""
+def _span(d: CycleDistribution) -> tuple[int, int, int, tuple[np.ndarray, np.ndarray] | None]:
+    """First and last support values, the gcd of the gaps between them (0
+    for one value), and the atoms they were read from (None for a uniform,
+    whose atoms are never built)."""
     if d.kind == "uniform":
-        return d.lo, d.hi, int(d.hi > d.lo)
-    v = d.atoms()[0]
-    return int(v[0]), int(v[-1]), int(np.gcd.reduce(np.diff(v)))
+        return d.lo, d.hi, int(d.hi > d.lo), None
+    v, p = d.atoms()
+    return int(v[0]), int(v[-1]), int(np.gcd.reduce(np.diff(v))), (v, p)
 
 
 def _grid_runs(
-    d: CycleDistribution, stride: int
+    d: CycleDistribution, atoms: tuple[np.ndarray, np.ndarray] | None, stride: int
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Support runs of ``d`` on the grid of ``stride``, and its runs of equal
-    nonzero mass a over grid indices s..t-1 as arrays (s, t, a).
-
-    A uniform's come from lo and hi alone (its stride is 1 unless lo == hi):
-    one run, of mass 1/n, the bits its atoms would give.
+    nonzero mass a over grid indices s..t-1 as arrays (s, t, a), from the
+    ``atoms`` that ``_span`` gave. A uniform's (no atoms) come from lo and
+    hi alone (its stride is 1 unless lo == hi): one run, of mass 1/n, the
+    bits its atoms would give.
     """
-    if d.kind == "uniform":
+    if atoms is None:
         n = d.hi - d.lo + 1
         return np.array([[0, n - 1]]), (np.array([0]), np.array([n]), np.array([1.0 / n]))
-    v, p = d.atoms()
+    v, p = atoms
     k = (v - v[0]) // stride
     grid = np.bincount(k, p)
     s = np.flatnonzero(np.append(True, grid[1:] != grid[:-1]))
@@ -375,21 +367,20 @@ def convolve(dists: Iterable[CycleDistribution]) -> CycleDistribution:
     dists = list(dists)
     if not dists:
         raise ValueError("nothing to convolve")
-    # a lower bound on the grid, checked before any atom is built
-    if sum(d.n_atoms() - 1 for d in dists) + 1 > CONVOLVE_CAP:
-        raise CapExceededError("convolution support exceeds cap")
     spans = [_span(d) for d in dists]
-    stride = math.gcd(*(g for _, _, g in spans)) or 1
-    offset = sum(first for first, _, _ in spans)
-    lengths = [(last - first) // stride + 1 for first, last, _ in spans]
+    stride = math.gcd(*(g for _, _, g, _ in spans)) or 1
+    offset = sum(first for first, _, _, _ in spans)
+    # every length is at least its task's atom count, so this also bounds the atoms
+    lengths = [(last - first) // stride + 1 for first, last, _, _ in spans]
     size = sum(lengths) - len(lengths) + 1
     if size > CONVOLVE_CAP:
         raise CapExceededError("convolution support exceeds cap")
     runs, mass_runs = np.zeros((1, 2), dtype=np.int64), []
-    for d in dists:
-        support, task_runs = _grid_runs(d, stride)
+    for d, (_, _, _, atoms) in zip(dists, spans):
+        support, task_runs = _grid_runs(d, atoms, stride)
         runs = _run_sum(runs, support)
         mass_runs.append(task_runs)
+    del spans  # the atoms are freed before the grid buffer is allocated
     # C[i] is buf[pad + i]; the zeros in front stand for C[i < 0]
     pad = max(lengths)
     buf = np.zeros(pad + size)

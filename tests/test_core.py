@@ -18,7 +18,7 @@ from framedvs import (
     quantize,
     validate_system,
 )
-from framedvs.core import FrameSystem, TaskSpec
+from framedvs.core import FrameSystem, TaskSpec, _count_at_or_below
 from framedvs.workload import CycleDistribution, bin_trace
 
 XSCALE = FrequencyTable(
@@ -313,3 +313,35 @@ def test_scalar_cycle_counts_of_any_number_type(field, value):
     else:
         with pytest.raises(ValueError):
             make(value)
+
+
+class TestCountAtOrBelow:
+    """The one threshold counter that run_frames' step lookup and
+    sample_array's atom draws share: searchsorted(cuts, x, "right"),
+    counted in int8 below 128 cuts and binary-searched from 128 on."""
+
+    def cases(self, n, rng):
+        cuts = np.sort(rng.uniform(-5.0, 5.0, n))
+        yield cuts
+        # zero-mass atoms repeat cumulative masses
+        yield np.cumsum(rng.random(n) * (rng.random(n) < 0.6))
+
+    def xs(self, cuts, rng):
+        return np.concatenate([
+            cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
+            [np.nan, -np.inf, np.inf, 0.0], rng.uniform(-6.0, 6.0, 50),
+        ])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 126, 127, 128, 129, 300])
+    def test_same_count_as_searchsorted(self, n):
+        rng = np.random.default_rng(n)
+        for cuts in self.cases(n, rng):
+            x = self.xs(cuts, rng)
+            want = np.searchsorted(cuts, x, side="right")
+            for given in (cuts, tuple(cuts.tolist())):  # sample_array's array, run_frames' tuple
+                count8, hit = np.full(len(x), 99, dtype=np.int8), np.empty(len(x), dtype=bool)
+                got = _count_at_or_below(given, x, count8, hit)
+                assert got.dtype == (np.int8 if n < 128 else np.intp), n
+                assert (got is count8) == (n < 128)
+                assert np.array_equal(got, want), n
+

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from bisect import bisect_right
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -463,7 +464,9 @@ class TestBandedStepLookup:
     def test_bands_of_128_or_more_step_times(self, monkeypatch):
         """A band of 128 or more step times is past the int8 count and takes
         the binary search; bands on either side of such a task, a NaN start
-        (every step in the band) and starts tied to step times included."""
+        (every step in the band) and starts tied to step times included. With
+        overheads on and blocks of 7, such bands also start past the first
+        step, so the pair costs are read at a nonzero band offset."""
         sysd = self.system(4)
         cycles = self.cycles(4, n_frames=60, seed=4)
         cycles[5, 0] = np.nan
@@ -482,6 +485,12 @@ class TestBandedStepLookup:
             times = np.array(funcs[i]._times[1:])
             s = starts[:, i - 1][~np.isnan(starts[:, i - 1])]
             assert ((times > s.min()) & (times <= s.max())).sum() >= 128, i
+        on = np.array(scalar_replay(sysd, funcs, cycles, True)[0])[:, :-1]
+        for i in (1, 3):
+            times = funcs[i]._times[1:]
+            blocks = [on[lo:lo + 7, i - 1] for lo in range(7, len(on), 7)]  # rows 0-6 hold the NaN
+            bands = [(bisect_right(times, s.min()), bisect_right(times, s.max())) for s in blocks]
+            assert any(lo > 0 and hi - lo >= 128 for lo, hi in bands), i
         assert np.isin(starts[:, 0], funcs[1]._times).sum() > 5
         self.check(monkeypatch, sysd, funcs, cycles)
 

@@ -171,6 +171,19 @@ class TestCountingDraws:
                 got = d.sample_array(FixedUniforms(u), size)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (size, n, d.kind)
 
+    def test_wide_histogram_draws_in_chunks(self):
+        """1e6 draws from 2,000 bins hold u and the draws (16 MB) plus one
+        chunk's counts: 22.9 MiB at the peak while more than 128 atoms took
+        two full-length intp arrays, 15.9 MiB one chunk at a time."""
+        d = CycleDistribution.histogram(3, np.random.default_rng(9).dirichlet(np.ones(2_000)))
+        tracemalloc.start()
+        try:
+            d.sample_array(np.random.default_rng(0), 1_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * 2**20
+
     @pytest.mark.parametrize("name, n_frames", [
         pytest.param("ppc405", 20_000, id="ppc405"),
         pytest.param("xscale", 20_000, id="xscale"),
@@ -400,6 +413,18 @@ class TestConvolve:
         a = CycleDistribution.uniform(1, 100_000)
         with pytest.raises(CapExceededError):
             convolve([a, a])
+
+    @pytest.mark.parametrize("name, want", [("ppc405", 8), ("xscale", 0)])
+    def test_atoms_built_once_per_task(self, monkeypatch, name, want):
+        """Each histogram's atoms are built once per convolve (three times
+        while an atom-count pre-pass, the span and the grid runs each asked),
+        and a uniform's never."""
+        system = load_system(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
+        calls = []
+        atoms = CycleDistribution.atoms
+        monkeypatch.setattr(CycleDistribution, "atoms", lambda self: calls.append(1) or atoms(self))
+        convolve(t.dist for t in system.tasks)
+        assert len(calls) == want
 
     def test_cap_checked_before_atoms_are_built(self, monkeypatch):
         monkeypatch.setattr(workload, "CONVOLVE_CAP", 1_000_000)
