@@ -43,15 +43,16 @@ __all__ = ["main"]
 
 
 def _build_entry(entry: StrategyEntry, system: FrameSystem, zones) -> StrategySet:
-    """Build one strategy entry; pitdvs reads ``beta`` and ``pt`` from its params."""
+    """Build one strategy entry; pitdvs reads ``beta`` and ``pt`` from its params,
+    which ``StrategyEntry`` has already converted to a float tuple and a float."""
     mode = entry.mode
     if entry.kind == "limit":
         return build_limit(system, zones)
     if entry.kind == "dpms":
         return discretize(system, zones, dpms_rule(system, mode), mode)
     beta, pt = entry.params.get("beta"), entry.params.get("pt")
-    bv = BetaVector.ones(system.n_tasks) if beta is None else BetaVector(tuple(beta))
-    penalty = system.cpu.change_penalty_max if pt is None else float(pt)
+    bv = BetaVector.ones(system.n_tasks) if beta is None else BetaVector(beta)
+    penalty = system.cpu.change_penalty_max if pt is None else pt
     return discretize(system, zones, pitdvs_rule(system, bv, penalty, mode), mode)
 
 
@@ -77,7 +78,7 @@ def cmd_build(args) -> int:
     zones = danger_zones_overhead(system, args.zones)
     beta = None
     if args.beta is not None:
-        beta = [float(b) for b in args.beta.split(",")] if args.beta else []
+        beta = args.beta.split(",") if args.beta else []
     params = {k: v for k, v in (("beta", beta), ("pt", args.pt)) if v is not None}
     entry = StrategyEntry(args.kind, args.kind, args.mode, params)
     strategy = _build_entry(entry, system, zones)

@@ -148,7 +148,7 @@ class StrategyEntry:
     name: str
     kind: str  # limit | dpms | pitdvs
     mode: str = "closest"  # up | closest
-    params: dict = field(default_factory=dict)  # pitdvs only: beta, pt
+    params: dict = field(default_factory=dict)  # pitdvs only: beta (float tuple), pt (float)
 
     def __post_init__(self) -> None:
         if self.kind not in ("limit", "dpms", "pitdvs"):
@@ -160,6 +160,14 @@ class StrategyEntry:
             raise ValueError(f"strategy params may hold only beta and pt, got {sorted(params)}")
         if params and self.kind != "pitdvs":
             raise ValueError(f"strategy params are for pitdvs only; {self.kind} takes none")
+        if "beta" in params:
+            if not isinstance(params["beta"], (list, tuple)):
+                raise ValueError(f"pitdvs beta must be a list of numbers, got {params['beta']!r}")
+            params["beta"] = tuple(float(b) for b in params["beta"])
+        if "pt" in params:
+            if not isinstance(params["pt"], (int, float)):
+                raise ValueError(f"pitdvs pt must be a number, got {params['pt']!r}")
+            params["pt"] = float(params["pt"])
         object.__setattr__(self, "params", params)
 
 

@@ -9,21 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
-from .core import FrameSystem, StepFunction, StrategySet, as_cycles, eval_step
+from .core import FrameSystem, StrategySet, eval_step
 
 __all__ = [
     "DangerZones",
-    "Schedulability",
     "Violation",
     "CheckReport",
     "danger_zones",
     "danger_zones_overhead",
     "limit",
     "check",
-    "recheck_prefix",
-    "validate_system",
 ]
 
 
@@ -53,12 +49,6 @@ class DangerZones:
         one expression, so a built strategy passes its own check exactly.
         """
         return self.targets[i] - w / f
-
-
-class Schedulability(Enum):
-    NEVER = "never_schedulable"
-    ALWAYS = "always_schedulable"
-    DEPENDS = "depends"
 
 
 @dataclass(frozen=True)
@@ -93,15 +83,14 @@ class CheckReport:
         return out
 
 
-def _zones_from_wcecs(
-    wcecs, deadline: float, f_max: float, per_switch: float = 0.0, margin: float = 0.0
-) -> DangerZones:
+def _zones(sys: FrameSystem, per_switch: float = 0.0, margin: float = 0.0) -> DangerZones:
     # One backward pass: z[i] = (z[i+1] - per_switch) - w_i/f_max and
     # targets[i] = z[i+1] - margin, which is z[i+1] bit for bit when margin is
     # 0.0. In plain and sufficient mode z[i] is bit for bit DangerZones.crossing
     # at f_max, so a built strategy's top step starting at z[i] passes its own check.
-    z, targets = [deadline], []
-    for w in reversed(wcecs):
+    f_max = sys.cpu.f_max
+    z, targets = [sys.deadline], []
+    for w in reversed(sys.wcecs):
         targets.append(z[-1] - margin)
         z.append((z[-1] - per_switch) - w / f_max)
     return DangerZones(tuple(reversed(z)), tuple(reversed(targets)))
@@ -109,7 +98,7 @@ def _zones_from_wcecs(
 
 def danger_zones(sys: FrameSystem) -> DangerZones:
     """Plain zones; negative values mean the system can never be scheduled."""
-    return _zones_from_wcecs(sys.wcecs, sys.deadline, sys.cpu.f_max)
+    return _zones(sys)
 
 
 def danger_zones_overhead(sys: FrameSystem, mode: str) -> DangerZones:
@@ -135,14 +124,16 @@ def danger_zones_overhead(sys: FrameSystem, mode: str) -> DangerZones:
         per_switch = margin = sys.cpu.change_penalty_max
     else:
         raise ValueError(f"unknown overhead mode {mode!r}")
-    return _zones_from_wcecs(sys.wcecs, sys.deadline, sys.cpu.f_max, per_switch, margin)
+    return _zones(sys, per_switch, margin)
 
 
 def limit(sys: FrameSystem, zones: DangerZones, i: int, t: float) -> float:
     """Minimum frequency task ``i`` (0-based) needs when starting at ``t``.
 
     Grows hyperbolically toward the top frequency, which it reaches
-    exactly at the start of the task's danger zone.
+    exactly at the start of the task's danger zone. Kept as the paper's
+    limit in closed form; check and the builders use its inverse,
+    ``DangerZones.crossing``.
     """
     target = zones.targets[i]
     if t >= target:
@@ -150,15 +141,21 @@ def limit(sys: FrameSystem, zones: DangerZones, i: int, t: float) -> float:
     return sys.tasks[i].wcec / (target - t)
 
 
-def _check_zones(
-    wcecs, funcs: tuple[StepFunction, ...], zones: DangerZones, upto: int
-) -> CheckReport:
-    """Scan tasks upto-1 .. 0 against the zones, first violation wins.
+def check(sys: FrameSystem, strategy: StrategySet, zones: DangerZones) -> CheckReport:
+    """Verify a strategy never drops below the limit before each danger zone.
 
-    A step violates when the constrained part of its interval outlasts
-    the point where the limit crosses its frequency.
+    Tasks are scanned last to first and the first violation wins. A step
+    violates when the constrained part of its interval outlasts the point
+    where the limit crosses its frequency: evaluation points clamp to z_i
+    (steps starting inside the danger zone impose nothing), and the last
+    step reaching the zone must meet the top-frequency bound there. A
+    negative first zone reports not-schedulable rather than raising, so
+    deadline sweeps can pass through infeasible points. A step speed that
+    is not in the CPU table raises ValueError: no run can execute it.
     """
-    for i in range(upto - 1, -1, -1):
+    sys.step_modes(strategy)
+    wcecs, funcs = sys.wcecs, strategy.funcs
+    for i in range(sys.n_tasks - 1, -1, -1):
         zi = zones.z[i]
         if zi < 0:
             return CheckReport(
@@ -175,48 +172,3 @@ def _check_zones(
                 required = wcecs[i] / (zones.targets[i] - bound)
                 return CheckReport(False, Violation(i + 1, k + 1, required, fk))
     return CheckReport(True)
-
-
-def check(sys: FrameSystem, strategy: StrategySet, zones: DangerZones) -> CheckReport:
-    """Verify a strategy never drops below the limit before each danger zone.
-
-    Each step is held to the limit at the end of the part of its interval
-    that lies before the zone start: evaluation points clamp to z_i (steps
-    starting inside the danger zone impose nothing), and the last step
-    reaching the zone must meet the top-frequency bound there. A negative
-    first zone reports not-schedulable rather than raising, so deadline
-    sweeps can pass through infeasible points. A step speed that is not
-    in the CPU table raises ValueError: no run can execute it.
-    """
-    sys.step_modes(strategy)
-    return _check_zones(sys.wcecs, strategy.funcs, zones, sys.n_tasks)
-
-
-def recheck_prefix(
-    sys: FrameSystem, strategy: StrategySet, i: int, new_w: int
-) -> CheckReport:
-    """Re-verify tasks 0..i (0-based) after task i's worst case grew to new_w.
-
-    Zones for later tasks do not depend on w_i, so their verdicts are
-    unaffected and only the prefix needs rechecking. Uses plain zones.
-    """
-    if not 0 <= i < sys.n_tasks:
-        raise ValueError("task index out of range")
-    new_w = as_cycles(new_w)
-    if new_w <= 0:
-        raise ValueError("new wcec must be positive")
-    sys.step_modes(strategy)
-    wcecs = list(sys.wcecs)
-    wcecs[i] = new_w
-    zones = _zones_from_wcecs(wcecs, sys.deadline, sys.cpu.f_max)
-    return _check_zones(wcecs, strategy.funcs, zones, i + 1)
-
-
-def validate_system(sys: FrameSystem) -> Schedulability:
-    """NEVER exactly when the builders raise InfeasibleSystemError (z_1 < 0);
-    ALWAYS when the total work fits at the lowest speed; else DEPENDS."""
-    if danger_zones(sys).z[0] < 0:
-        return Schedulability.NEVER
-    if sum(sys.wcecs) / sys.cpu.f_min <= sys.deadline:
-        return Schedulability.ALWAYS
-    return Schedulability.DEPENDS

@@ -203,7 +203,10 @@ def run_frame(
     cycles: Sequence[int],
     overheads: bool = False,
 ) -> FrameResult:
-    """Execute a single frame with the given per-task cycle demands."""
+    """Execute a single frame with the given per-task cycle demands.
+
+    Kept as a library entry point: one frame with its per-task finish times.
+    """
     if len(cycles) != sys.n_tasks:
         raise ValueError("cycles length does not match task count")
     cycles = [as_cycles(c) for c in cycles]
@@ -263,7 +266,7 @@ def monte_carlo(
     """Simulate independent frames with distribution-drawn cycles.
 
     Deterministic for a fixed seed: identical inputs produce bit-identical
-    statistics.
+    statistics. Kept as a library entry point: the README's example calls it.
     """
     if n_frames < 1:
         raise ValueError("need at least one frame")
@@ -280,6 +283,7 @@ def exact_expectation(
 
     Walks every combination of per-task support values with its
     probability; the support product must stay within ``ENUMERATION_CAP``.
+    Kept as the exact reference that Monte Carlo estimates are tested against.
     """
     sizes = [t.dist.n_atoms() for t in sys.tasks]
     total = math.prod(sizes)

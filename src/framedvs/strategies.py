@@ -29,10 +29,7 @@ __all__ = [
     "pitdvs_rule",
     "discretize",
     "limit_rule",
-    "rule_from_forward",
 ]
-
-BISECT_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -152,32 +149,6 @@ def discretize(
     return StrategySet(tuple(funcs))
 
 
-def rule_from_forward(
-    forward: Callable[[int, float], float], horizon: float
-) -> ContinuousRule:
-    """Build a rule from a forward speed function by bisecting its inverse.
-
-    ``forward(i, t)`` must be nondecreasing in t on [0, horizon]. The
-    crossing time of speed f is resolved to within ``BISECT_EPS`` seconds.
-    """
-
-    def inverse(i: int, f: float) -> float:
-        if forward(i, 0.0) >= f:
-            return -math.inf
-        if forward(i, horizon) < f:
-            return math.inf
-        lo, hi = 0.0, horizon
-        while hi - lo > BISECT_EPS:
-            mid = (lo + hi) / 2.0
-            if forward(i, mid) >= f:
-                hi = mid
-            else:
-                lo = mid
-        return lo
-
-    return ContinuousRule(inverse)
-
-
 def build_soft_speed(sys: FrameSystem, soft) -> StrategySet:
     """Flat strategy sized for a relaxed frame deadline.
 
@@ -187,6 +158,7 @@ def build_soft_speed(sys: FrameSystem, soft) -> StrategySet:
     most the relaxation's eps, and only those frames can miss. The lazy
     builders take the other route in ``simulate``'s ``soft_eps``: they are
     built for the tasks truncated at their percentiles, at the true deadline.
+    Kept for the flat route, which no CLI verb offers yet.
     """
     f_star = quantize(sys.cpu, soft.frame_wcec / soft.adjusted_deadline, "up")
     flat = StepFunction(((0.0, f_star),))

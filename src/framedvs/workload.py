@@ -228,10 +228,6 @@ class CycleDistribution:
             np.take(vals, idx, out=out[lo:lo + len(part)], mode="clip")
         return out
 
-    def sample(self, rng: np.random.Generator) -> int:
-        """One draw from the distribution."""
-        return int(self.sample_array(rng, 1)[0])
-
     def truncated(self, cap: int) -> "CycleDistribution":
         """Clamp demand at ``cap`` cycles, moving excess mass onto cap.
 
@@ -276,7 +272,10 @@ class CycleDistribution:
 
 
 def bin_trace(raw_cycle_counts: Sequence[int], b: int) -> CycleDistribution:
-    """Group observed cycle counts into fixed-size bins."""
+    """Group observed cycle counts into fixed-size bins.
+
+    Kept for trace ingestion: it bins what ``config.read_trace`` returns.
+    """
     if len(raw_cycle_counts) == 0:
         raise ValueError("empty trace")
     b = as_cycles(b)

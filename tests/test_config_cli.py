@@ -508,6 +508,14 @@ class TestMalformedFiles:
                          "betas", id="params-unknown-key"),
             pytest.param("simulate", "exp", _set(("strategies", 0, "params"), {"beta": [1.0] * 3}),
                          "pitdvs only", id="params-on-dpms"),
+            pytest.param("simulate", "exp", _set(("strategies", 0),
+                                                 {"name": "p", "kind": "pitdvs",
+                                                  "params": {"beta": 0.5}}),
+                         "beta", id="params-beta-scalar"),
+            pytest.param("simulate", "exp", _set(("strategies", 0),
+                                                 {"name": "p", "kind": "pitdvs",
+                                                  "params": {"pt": [1]}}),
+                         "pt", id="params-pt-list"),
             pytest.param("sweep", "exp", _set(("simulation", "n_frame"), 5), "n_frame",
                          id="simulation-unknown-key"),
             pytest.param("simulate", "exp", _set(("simulation", "soft_wcec"), "kappa"), "soft_wcec",

@@ -8,7 +8,6 @@ import pytest
 from framedvs import (
     FrequencyTable,
     InfeasibleSystemError,
-    Schedulability,
     SpeedRangeError,
     StepFunction,
     build_limit,
@@ -16,7 +15,6 @@ from framedvs import (
     eval_step,
     normalize_steps,
     quantize,
-    validate_system,
 )
 from framedvs.core import FrameSystem, TaskSpec, _count_at_or_below
 from framedvs.workload import CycleDistribution, bin_trace
@@ -125,17 +123,9 @@ class TestQuantize:
 
 
 class TestValidateSystem:
-    def test_never(self):
-        cpu = FrequencyTable((150.0, 1000.0), (0.1, 1.0))
-        assert validate_system(make_system((100, 200, 300), 0.5, cpu)) is Schedulability.NEVER
-
-    def test_always_boundary_inclusive(self):
-        cpu = FrequencyTable((150.0, 1000.0), (0.1, 1.0))
-        assert validate_system(make_system((100, 200, 300), 4.0, cpu)) is Schedulability.ALWAYS
-
-    def test_depends(self):
-        cpu = FrequencyTable((150.0, 1000.0), (0.1, 1.0))
-        assert validate_system(make_system((100, 200, 300), 1.0, cpu)) is Schedulability.DEPENDS
+    """A system is never schedulable exactly when its first plain zone is
+    negative, and that is exactly when the builders refuse it. The two
+    systems sit on rounding edges where the total-work test disagrees."""
 
     @pytest.mark.parametrize(
         "wcecs,deadline",
@@ -153,7 +143,7 @@ class TestValidateSystem:
             feasible = True
         except InfeasibleSystemError:
             feasible = False
-        assert (validate_system(sysd) is Schedulability.NEVER) is not feasible
+        assert (danger_zones(sysd).z[0] < 0) is not feasible
 
 
 class TestFrequencyTable:

@@ -16,7 +16,6 @@ from framedvs import (
     danger_zones,
     danger_zones_overhead,
     limit,
-    recheck_prefix,
     run_frame,
     worst_finish_oracle,
 )
@@ -201,19 +200,16 @@ class TestCheck:
         fast = StrategySet(tuple(StepFunction(((0.0, 5000.0),)) for _ in range(2)))
         with pytest.raises(ValueError, match="not in the table"):
             check(sysd, fast, danger_zones(sysd))
-        with pytest.raises(ValueError, match="not in the table"):
-            recheck_prefix(sysd, fast, 0, 100)
 
     def test_speed_check_names_the_first_bad_step(self):
         sysd = make_system((100, 200), 1.0)
         mixed = StrategySet((StepFunction(((0.0, 150.0), (0.1, 700.0))),
                              StepFunction(((0.0, 900.0),))))
-        for run in (lambda s: check(sysd, s, danger_zones(sysd)),
-                    lambda s: recheck_prefix(sysd, s, 0, 100)):
-            with pytest.raises(ValueError, match="frequency 700.0 is not in the table"):
-                run(mixed)
-            with pytest.raises(ValueError, match="strategy length does not match task count"):
-                run(StrategySet(mixed.funcs[:1]))
+        zones = danger_zones(sysd)
+        with pytest.raises(ValueError, match="frequency 700.0 is not in the table"):
+            check(sysd, mixed, zones)
+        with pytest.raises(ValueError, match="strategy length does not match task count"):
+            check(sysd, StrategySet(mixed.funcs[:1]), zones)
 
 
 class TestSufficientModeSoundness:
@@ -277,48 +273,6 @@ class TestSufficientModeSoundness:
         )
         assert check(sysd, drop_after_zone, zs).schedulable
         assert not check(sysd, drop_after_zone, zn).schedulable
-
-
-class TestRecheckPrefix:
-    def test_unchanged_wcec_matches_full_check(self):
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            sysd = gen.realistic_feasible_system(rng)
-            zones = danger_zones(sysd)
-            strat = build_limit(sysd, zones)
-            for i in range(sysd.n_tasks):
-                rep = recheck_prefix(sysd, strat, i, sysd.tasks[i].wcec)
-                assert rep.schedulable
-
-    def test_growing_first_task_leaves_later_zones_alone(self):
-        sysd = make_system((100, 200, 300), 1.0)
-        zones = danger_zones(sysd)
-        from framedvs.schedulability import _zones_from_wcecs
-
-        grown = _zones_from_wcecs((500, 200, 300), 1.0, 1000.0)
-        assert grown.z[1:] == zones.z[1:]
-
-    def test_blown_budget_fails(self):
-        sysd = make_system((100, 100), 1.0, freqs=(500.0, 1000.0))
-        zones = danger_zones(sysd)
-        strat = build_limit(sysd, zones)
-        rep = recheck_prefix(sysd, strat, 0, 2000)  # z_1 goes negative
-        assert not rep.schedulable
-
-    def test_validation(self):
-        sysd = make_system((100, 100), 1.0)
-        strat = build_limit(sysd, danger_zones(sysd))
-        with pytest.raises(ValueError):
-            recheck_prefix(sysd, strat, 5, 100)
-        with pytest.raises(ValueError):
-            recheck_prefix(sysd, strat, 0, 0)
-
-    def test_fractional_wcec_rejected_not_truncated(self):
-        sysd = make_system((120_000,), 200.0)
-        strat = build_limit(sysd, danger_zones(sysd))
-        assert recheck_prefix(sysd, strat, 0, 120_000.0).schedulable
-        with pytest.raises(ValueError, match="not an integer"):
-            recheck_prefix(sysd, strat, 0, 120_000.7)
 
 
 class TestCheckMatchesOracle:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,6 @@ from framedvs import (
     limit_rule,
     pitdvs_rule,
     quantize,
-    rule_from_forward,
 )
 from framedvs.strategies import ContinuousRule
 
@@ -226,33 +223,3 @@ class TestDiscretize:
         sysd = degenerate_system((600, 600), 1.0, (500.0, 1000.0))
         with pytest.raises(InfeasibleSystemError):
             discretize(sysd, danger_zones(sysd), dpms_rule(sysd), "up")
-
-
-class TestRuleFromForward:
-    def test_bisection_matches_closed_form(self):
-        cpu = FrequencyTable((100.0, 1000.0), (0.1, 0.2))
-        tasks = (
-            TaskSpec(100, CycleDistribution.degenerate(50)),
-            TaskSpec(200, CycleDistribution.degenerate(100)),
-        )
-        sysd = FrameSystem(tasks, 1.0, cpu)
-        closed = dpms_rule(sysd)
-        remaining = [150.0, 100.0]
-
-        def forward(i, t):
-            return remaining[i] / (sysd.deadline - t) if t < sysd.deadline else np.inf
-
-        bisected = rule_from_forward(forward, sysd.deadline)
-        for i in range(2):
-            for f in (200.0, 300.0, 450.0, 900.0):
-                assert bisected.inverse(i, f) == pytest.approx(
-                    closed.inverse(i, f), abs=2e-9
-                )
-
-    def test_speeds_outside_the_forward_range_cross_at_infinity(self):
-        """A rule already at f by t = 0 crosses at -inf; one below f at the horizon, at +inf."""
-        rule = rule_from_forward(lambda i, t: 100.0 + 100.0 * t, 1.0)
-        assert rule.inverse(0, 100.0) == -math.inf
-        assert rule.inverse(0, 50.0) == -math.inf
-        assert rule.inverse(0, 250.0) == math.inf
-        assert 0.0 < rule.inverse(0, 150.0) < 1.0

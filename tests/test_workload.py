@@ -42,7 +42,7 @@ class TestSampling:
     def test_degenerate_always_hits(self):
         d = CycleDistribution.degenerate(100)
         rng = np.random.default_rng(0)
-        assert all(d.sample(rng) == 100 for _ in range(50))
+        assert all(d.sample_array(rng, 1)[0] == 100 for _ in range(50))
 
     def test_uniform_law_of_large_numbers(self):
         d = CycleDistribution.uniform(1, 10)
