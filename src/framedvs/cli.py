@@ -64,12 +64,17 @@ def _soft_build_system(system: FrameSystem, eps: float) -> FrameSystem:
     return FrameSystem(tasks, system.deadline, system.cpu)
 
 
+def _print_json(obj) -> None:
+    """Strict JSON: a non-finite float raises ValueError (exit 2) instead of printing NaN."""
+    print(json.dumps(obj, indent=2, allow_nan=False))
+
+
 def cmd_check(args) -> int:
     system = load_system(args.system)
     strategy = load_strategy(args.strategy)
     zones = danger_zones_overhead(system, args.mode)
     report = check(system, strategy, zones)
-    print(json.dumps(report.to_dict(), indent=2))
+    _print_json(report.to_dict())
     return 0 if report.schedulable else 1
 
 
@@ -159,16 +164,13 @@ def cmd_sweep(args) -> int:
 def cmd_soft_deadline(args) -> int:
     system = load_system(args.system)
     result = soft_deadline(system, args.eps)
-    print(
-        json.dumps(
-            {
-                "kappa": list(result.kappa),
-                "frame_wcec": result.frame_wcec,
-                "frame_percentile": result.frame_percentile,
-                "adjusted_deadline_s": result.adjusted_deadline,
-            },
-            indent=2,
-        )
+    _print_json(
+        {
+            "kappa": list(result.kappa),
+            "frame_wcec": result.frame_wcec,
+            "frame_percentile": result.frame_percentile,
+            "adjusted_deadline_s": result.adjusted_deadline,
+        }
     )
     return 0
 
@@ -178,16 +180,13 @@ def cmd_oracle(args) -> int:
     strategy = load_strategy(args.strategy)
     report = worst_finish_oracle(system, strategy, overheads=args.overheads == "on")
     worst = report.tau[-1]
-    print(
-        json.dumps(
-            {
-                "tau_s": list(report.tau),
-                "witness_cycles": [list(w) for w in report.witness],
-                "deadline_s": system.deadline,
-                "worst_case_miss": worst > system.deadline,
-            },
-            indent=2,
-        )
+    _print_json(
+        {
+            "tau_s": list(report.tau),
+            "witness_cycles": [list(w) for w in report.witness],
+            "deadline_s": system.deadline,
+            "worst_case_miss": worst > system.deadline,
+        }
     )
     return 0 if worst <= system.deadline else 1
 

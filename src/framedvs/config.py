@@ -248,6 +248,7 @@ def experiment_from_dict(d: dict, base: Path | None = None) -> ExperimentConfig:
 
 
 def experiment_to_dict(cfg: ExperimentConfig) -> dict:
+    """Kept as the inverse of ``experiment_from_dict``, which the tests round-trip."""
     out: dict = {
         "system": system_to_dict(cfg.system),
         "strategies": [asdict(s) for s in cfg.strategies],
@@ -289,6 +290,7 @@ def read_histogram_csv(path: str | Path) -> CycleDistribution:
 
 
 def write_histogram_csv(dist: CycleDistribution, path: str | Path) -> None:
+    """Kept as the writer of the ``histogram_file`` format that ``read_histogram_csv`` reads."""
     if dist.kind != "histogram":
         raise ValueError("only histogram distributions have a CSV form")
     lines = ["bin_upper_cycles,probability"]
@@ -298,7 +300,7 @@ def write_histogram_csv(dist: CycleDistribution, path: str | Path) -> None:
 
 
 def read_trace(path: str | Path) -> list[int]:
-    """One observed cycle count per line."""
+    """One observed cycle count per line; kept for trace ingestion with ``bin_trace``."""
     out = []
     for ln in Path(path).read_text().splitlines():
         ln = ln.strip()

@@ -61,14 +61,15 @@ class Violation:
     provided_hz: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CheckReport:
-    schedulable: bool
+    """The verdict is one field: the first violation, or None when schedulable."""
+
     violation: Violation | None = None
 
-    def __post_init__(self) -> None:
-        if self.schedulable == (self.violation is not None):
-            raise ValueError("violation present iff not schedulable")
+    @property
+    def schedulable(self) -> bool:
+        return self.violation is None
 
     def to_dict(self) -> dict:
         out: dict = {"schedulable": self.schedulable}
@@ -77,7 +78,7 @@ class CheckReport:
             out["violation"] = {
                 "task": v.task_number,
                 "step": v.step_number,
-                "required_hz": v.required_hz,
+                "required_hz": v.required_hz if math.isfinite(v.required_hz) else None,
                 "provided_hz": v.provided_hz,
             }
         return out
@@ -131,9 +132,9 @@ def limit(sys: FrameSystem, zones: DangerZones, i: int, t: float) -> float:
     """Minimum frequency task ``i`` (0-based) needs when starting at ``t``.
 
     Grows hyperbolically toward the top frequency, which it reaches
-    exactly at the start of the task's danger zone. Kept as the paper's
-    limit in closed form; check and the builders use its inverse,
-    ``DangerZones.crossing``.
+    exactly at the start of the task's danger zone. ``check`` reads it for
+    a violating step's required speed; the check and the builders place
+    steps with its inverse, ``DangerZones.crossing``.
     """
     target = zones.targets[i]
     if t >= target:
@@ -158,10 +159,7 @@ def check(sys: FrameSystem, strategy: StrategySet, zones: DangerZones) -> CheckR
     for i in range(sys.n_tasks - 1, -1, -1):
         zi = zones.z[i]
         if zi < 0:
-            return CheckReport(
-                False,
-                Violation(i + 1, 1, math.inf, eval_step(funcs[i], 0.0)),
-            )
+            return CheckReport(violation=Violation(i + 1, 1, math.inf, eval_step(funcs[i], 0.0)))
         pts = funcs[i].points
         for k, (tk, fk) in enumerate(pts):
             if tk >= zi:
@@ -169,6 +167,8 @@ def check(sys: FrameSystem, strategy: StrategySet, zones: DangerZones) -> CheckR
             t_next = pts[k + 1][0] if k + 1 < len(pts) else math.inf
             bound = min(t_next, zi)
             if bound > zones.crossing(i, wcecs[i], fk):
-                required = wcecs[i] / (zones.targets[i] - bound)
-                return CheckReport(False, Violation(i + 1, k + 1, required, fk))
-    return CheckReport(True)
+                # a zone rounded onto its target leaves no time; f_max is what passes there
+                on_time = bound < zones.targets[i]
+                required = limit(sys, zones, i, bound) if on_time else sys.cpu.f_max
+                return CheckReport(violation=Violation(i + 1, k + 1, required, fk))
+    return CheckReport()

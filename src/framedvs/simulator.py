@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -283,30 +284,27 @@ def exact_expectation(
 
     Walks every combination of per-task support values with its
     probability; the support product must stay within ``ENUMERATION_CAP``.
-    Kept as the exact reference that Monte Carlo estimates are tested against.
+    Each statistic is the correctly rounded sum of ``probs * x``, so no
+    BLAS thread count moves its bits. Kept as the exact reference that
+    Monte Carlo estimates are tested against.
     """
-    sizes = [t.dist.n_atoms() for t in sys.tasks]
-    total = math.prod(sizes)
+    total = math.prod(t.dist.n_atoms() for t in sys.tasks)
     if total > ENUMERATION_CAP:
         raise CapExceededError(f"enumeration of {total} outcomes exceeds cap {ENUMERATION_CAP}")
     atoms = [t.dist.atoms() for t in sys.tasks]
     grids = np.meshgrid(*[v.astype(np.float64) for v, _ in atoms], indexing="ij")
-    cycles = np.column_stack([g.ravel() for g in grids])
-    pgrids = np.meshgrid(*[p for _, p in atoms], indexing="ij")
-    probs = np.ones(total)
-    for g in pgrids:
-        probs = probs * g.ravel()
-    mass = float(np.sum(probs))
-    if abs(mass - 1.0) > 1e-9:
+    cycles = np.stack(grids, axis=-1).reshape(total, sys.n_tasks)
+    probs = reduce(np.multiply.outer, [p for _, p in atoms]).ravel()
+    if abs(float(np.sum(probs)) - 1.0) > 1e-9:
         raise FrameDvsError("enumerated probability mass deviates from 1")
     _, energy, switch, changes, missed = run_frames(sys, strategy, cycles, overheads)
     return SimStats(
         frames=total,
-        mean_energy=float(np.dot(probs, energy)),
+        mean_energy=_exact_sum(probs * energy),
         energy_stderr=0.0,
-        miss_rate=float(np.dot(probs, missed)),
-        mean_frequency_changes=float(np.dot(probs, changes)),
-        mean_switch_time=float(np.dot(probs, switch)),
+        miss_rate=_exact_sum(probs * missed),
+        mean_frequency_changes=_exact_sum(probs * changes),
+        mean_switch_time=_exact_sum(probs * switch),
     )
 
 

@@ -11,9 +11,7 @@ Convolution is numpy-only: running sums on a shared integer grid, one
 cumulative sum per task and one shifted difference per run of equal
 mass, read back only on the exact support of the sum. A uniform is one
 run read from lo and hi, and a run that covers its task's whole grid is
-written back into the one grid buffer in chunks, top chunk first. An
-xscale report takes about 72 ms on 2 x86-64 cores and peaks at 25 MiB
-of traced memory.
+written back into the one grid buffer in chunks, top chunk first.
 """
 from __future__ import annotations
 

@@ -342,6 +342,55 @@ class TestOtherCommands:
         assert "valid but too large for an exact answer" in capsys.readouterr().err
 
 
+def _strict_loads(text: str):
+    """json.loads that refuses NaN and Infinity, as Node's JSON.parse does."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    """Every verb that prints JSON prints strict JSON."""
+
+    @pytest.mark.parametrize("name", ["xscale", "ppc405", "two_freq_showcase"])
+    def test_shipped_configs(self, tmp_path, capsys, name):
+        system, strat = str(CONFIGS / f"{name}.json"), str(tmp_path / "s.json")
+        assert main(["build", "--system", system, "--kind", "dpms", "--out", strat]) == 0
+        capsys.readouterr()
+        for argv in (["check", "--system", system, "--strategy", strat],
+                     ["oracle", "--system", system, "--strategy", strat],
+                     ["soft-deadline", "--system", system, "--eps", "0.05"]):
+            assert main(argv) == 0
+            assert _strict_loads(capsys.readouterr().out)
+
+    def test_infeasible_check_writes_null(self, tmp_path, capsys):
+        """No speed suffices on a negative zone: required_hz is null, not Infinity."""
+        sys_file = write_json(tmp_path / "sys.json",
+                              small_system_dict(deadline_s=1e-9, freqs=(100.0, 200.0)))
+        strat_file = write_json(tmp_path / "s.json", {"funcs": [[[0, 200e6]]]})
+        assert main(["check", "--system", str(sys_file), "--strategy", str(strat_file)]) == 1
+        report = _strict_loads(capsys.readouterr().out)
+        assert report == {"schedulable": False, "violation": {
+            "task": 1, "step": 1, "required_hz": None, "provided_hz": 200e6}}
+
+    def test_zone_on_its_target_exits_one_with_f_max(self, tmp_path, capsys):
+        """1 cycle at 1e17 Hz rounds off 1.0 s, so the zone starts at its target."""
+        sys_file = write_json(tmp_path / "sys.json",
+                              small_system_dict(freqs=(1e9, 1e11), wcecs=(1,)))
+        strat_file = write_json(tmp_path / "s.json", {"funcs": [[[0.0, 1e15]]]})
+        assert main(["check", "--system", str(sys_file), "--strategy", str(strat_file)]) == 1
+        violation = _strict_loads(capsys.readouterr().out)["violation"]
+        assert (violation["required_hz"], violation["provided_hz"]) == (1e17, 1e15)
+
+    def test_other_non_finite_values_exit_two(self, tmp_path, capsys, monkeypatch):
+        sys_file = write_json(tmp_path / "sys.json", small_system_dict())
+        result = workload.SoftDeadlineResult((600,), 600, 600, math.inf)
+        monkeypatch.setattr(cli, "soft_deadline", lambda system, eps: result)
+        assert main(["soft-deadline", "--system", str(sys_file), "--eps", "0.1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "not JSON compliant" in out.err
+
+
 def _set(path, value):
     """System-dict patch that sets the entry at ``path`` to ``value``."""
 

@@ -11,7 +11,6 @@ import pytest
 
 from framedvs import (
     CapExceededError,
-    CheckReport,
     CycleDistribution,
     FrameSystem,
     FrequencyTable,
@@ -147,10 +146,6 @@ def _experiment(names, baseline=None):
         # schedulability
         pytest.param(lambda: danger_zones_overhead(SYS, "loose"), ValueError,
                      "unknown overhead mode 'loose'", id="zones-mode"),
-        pytest.param(lambda: CheckReport(True, object()), ValueError,
-                     "violation present iff not schedulable", id="report-violation-when-ok"),
-        pytest.param(lambda: CheckReport(False), ValueError,
-                     "violation present iff not schedulable", id="report-no-violation"),
         # strategies
         pytest.param(lambda: discretize(SYS, danger_zones(SYS), dpms_rule(SYS), "down"),
                      ValueError, "unknown discretize mode 'down'", id="discretize-mode"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from framedvs import (
+    CheckReport,
     CycleDistribution,
     DangerZones,
     FrameSystem,
@@ -11,6 +12,7 @@ from framedvs import (
     StepFunction,
     StrategySet,
     TaskSpec,
+    Violation,
     build_limit,
     check,
     danger_zones,
@@ -188,6 +190,41 @@ class TestCheck:
         rep = check(sysd, top, zones)
         assert not rep.schedulable
         assert rep.violation.required_hz == math.inf
+        assert rep.to_dict()["violation"]["required_hz"] is None
+
+    def test_required_speed_is_the_limit_at_the_step_bound(self):
+        """A flat slowest strategy fails its last task at z_N; the required speed
+        keeps the bits of w_N / (target_N - z_N), the limit there."""
+        rng = np.random.default_rng(4)
+        for mode in ("plain", "sufficient"):
+            for _ in range(20):
+                sysd = gen.realistic_feasible_system(rng, with_overheads=True)
+                zones = danger_zones_overhead(sysd, mode)
+                slow = StrategySet(tuple(StepFunction(((0.0, sysd.cpu.freqs[0]),))
+                                         for _ in range(sysd.n_tasks)))
+                v = check(sysd, slow, zones).violation
+                n = sysd.n_tasks
+                assert (v.task_number, v.step_number) == (n, 1)
+                assert v.required_hz == sysd.wcecs[-1] / (zones.targets[-1] - zones.z[n - 1])
+                assert v.required_hz == limit(sysd, zones, n - 1, zones.z[n - 1])
+
+    def test_zone_rounded_onto_its_target_requires_f_max(self):
+        """1 cycle at 1e17 Hz is under half an ulp of 1.0 s: z_1 equals its target,
+        where the limit is undefined and only the top speed passes."""
+        sysd = make_system((1,), 1.0, freqs=(1e15, 1e17))
+        zones = danger_zones(sysd)
+        assert zones.z[0] == zones.targets[0] == 1.0
+        rep = check(sysd, StrategySet((StepFunction(((0.0, 1e15),)),)), zones)
+        assert (rep.violation.required_hz, rep.violation.provided_hz) == (1e17, 1e15)
+        assert check(sysd, StrategySet((StepFunction(((0.0, 1e17),)),)), zones).schedulable
+
+    def test_report_is_the_violation(self):
+        assert CheckReport().schedulable
+        assert CheckReport().to_dict() == {"schedulable": True}
+        v = Violation(1, 1, 2.0, 1.0)
+        assert not CheckReport(violation=v).schedulable
+        with pytest.raises(TypeError):
+            CheckReport(True)  # a positional verdict no longer exists
 
     def test_length_mismatch_rejected(self):
         sysd = make_system((100, 200), 1.0)

@@ -35,6 +35,8 @@ from framedvs.simulator import _exact_sum, evaluate, sample_cycles
 
 import gen
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 def single_task_system():
     cpu = FrequencyTable((500.0, 1000.0), (0.9, 1.6))
@@ -692,7 +694,7 @@ class TestBlockedExactSum:
         if overheads:
             sysd = gen.realistic_feasible_system(np.random.default_rng(0), with_overheads=True)
         else:
-            sysd = load_system(Path(__file__).resolve().parent.parent / "configs" / "xscale.json")
+            sysd = load_system(CONFIGS / "xscale.json")
         cycles = sample_cycles(sysd, np.random.default_rng(0), 70_000)
         fsum, sizes = math.fsum, []
 
@@ -732,9 +734,8 @@ def test_soft_builds_never_miss_within_the_percentiles(overheads):
                StrategyEntry("dpms_closest", "dpms", "closest"),
                StrategyEntry("pitdvs_up", "pitdvs", "up"), StrategyEntry("pitdvs", "pitdvs")]
     builders = [(e.name, partial(_build_entry, e)) for e in entries]
-    configs = Path(__file__).resolve().parent.parent / "configs"
     rng = np.random.default_rng(17)
-    systems = [load_system(configs / "ppc405.json"), load_system(configs / "xscale.json")]
+    systems = [load_system(CONFIGS / "ppc405.json"), load_system(CONFIGS / "xscale.json")]
     systems += [gen.realistic_feasible_system(rng, with_overheads=overheads) for _ in range(6)]
     for sysd in systems:
         for eps in (0.05, 0.2):
@@ -749,7 +750,7 @@ def test_soft_builds_never_miss_within_the_percentiles(overheads):
 
 def test_evaluate_frees_each_run_before_the_next():
     """Peak memory of evaluate does not grow with the number of builders."""
-    sysd = load_system(Path(__file__).resolve().parent.parent / "configs" / "xscale.json")
+    sysd = load_system(CONFIGS / "xscale.json")
     cycles = sample_cycles(sysd, np.random.default_rng(0), 200_000)
 
     def peak(n_builders):
@@ -842,6 +843,18 @@ class TestExactExpectation:
             assert mc.mean_energy == pytest.approx(exact.mean_energy, rel=1e-12)
         else:
             assert abs(mc.mean_energy - exact.mean_energy) <= 4 * mc.energy_stderr
+
+    def test_ppc405_prefix_is_correctly_rounded(self):
+        """100,000 outcomes: more than OpenBLAS's threading threshold, so a
+        BLAS dot product here moves the last bits with the thread count."""
+        full = load_system(CONFIGS / "ppc405.json")
+        sysd = FrameSystem(full.tasks[:5], full.deadline, full.cpu)
+        strat = discretize(sysd, danger_zones(sysd), dpms_rule(sysd, "closest"), "closest")
+        st = exact_expectation(sysd, strat)
+        assert st.frames == 100_000
+        assert st.mean_energy.hex() == "0x1.88bf193a35db8p-15"
+        assert st.mean_frequency_changes.hex() == "0x1.327b997e6bc0dp-1"
+        assert (st.miss_rate, st.mean_switch_time) == (0.0, 0.0)
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(simulator, "ENUMERATION_CAP", 100)
