@@ -111,6 +111,11 @@ def _exact_sum(a: np.ndarray) -> float:
     return total / (1 << (53 - e0))
 
 
+# the largest count _count_at_or_below keeps in int8; read once, since np.iinfo
+# costs about a microsecond and the frame lanes call the kernel per block and task
+_INT8_MAX = int(np.iinfo(np.int8).max)
+
+
 def _count_at_or_below(
     cuts: Sequence[float], x: np.ndarray, count8: np.ndarray, hit: np.ndarray
 ) -> np.ndarray:
@@ -122,7 +127,7 @@ def _count_at_or_below(
     scratch), which beats the binary search there (Devroye 1986, III.2);
     the int8 ``count8`` is returned. From 128 cuts on it is the binary search.
     """
-    if len(cuts) > np.iinfo(np.int8).max:
+    if len(cuts) > _INT8_MAX:
         return np.searchsorted(cuts, x, side="right")
     count8.fill(len(cuts))
     for c in cuts:

@@ -9,6 +9,8 @@ only; idle time after the last task consumes no energy.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -43,8 +45,11 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 1_000_000
-# rows per run_frames block: its temporaries (128 KiB each) stay in cache
-_FRAME_BLOCK = 16_384
+# rows per run_frames block: its temporaries (256 KiB each) stay in cache, and
+# each numpy call runs long enough that lanes seldom wait on the interpreter lock
+_FRAME_BLOCK = 32_768
+# lanes run_frames may use: the CPUs this process may run on
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # dtypes of run_frames' energy, switch time, frequency changes and missed outputs
 _OUT_KINDS = (np.float64, np.float64, np.int64, np.bool_)
 
@@ -97,14 +102,17 @@ def run_frames(
     With None, fresh arrays are returned.
 
     Frames are independent, and each block keeps every frame's float
-    operations in order, so no output depends on the block size. Memory
-    is one block per temporary plus the full-length outputs. A task
-    counts its block's start times only against the step times that the
-    block's smallest and largest start straddle (``_count_at_or_below``);
-    a block whose starts all lie on one step reads that step's speed and
-    power once, as scalars. Frequency changes are counted per block,
-    scalar ones as a Python int, and switch costs are read from a
-    per-task table indexed by the previous and the current task's step.
+    operations in order, so no output depends on the block size or on the
+    lanes. ``min(_CPUS, blocks)`` lanes (``_run_lanes``) each take the
+    next unclaimed block until none is left; below two blocks the caller
+    runs them alone. Memory is one block per temporary and lane plus the
+    full-length outputs. A task counts its block's start times only
+    against the step times that the block's smallest and largest start
+    straddle (``_count_at_or_below``); a block whose starts all lie on one
+    step reads that step's speed and power once, as scalars. Frequency
+    changes are counted per block, scalar ones as a Python int, and switch
+    costs are read from a per-task table indexed by the previous and the
+    current task's step.
     """
     modes = sys.step_modes(strategy)
     cycles = np.asarray(cycles, dtype=np.float64)
@@ -134,68 +142,114 @@ def run_frames(
         pair_cost = None if prev_modes is None else cost_table[np.ix_(prev_modes, fidx)].ravel()
         steps.append((fn._times[1:], freqs[fidx], power[fidx], pair_cost, len(fidx)))
         prev_modes = fidx
-    size = min(n, _FRAME_BLOCK)
-    t_buf, exec_buf = np.empty(size), np.empty(size)
-    hit_buf, k8_buf = np.empty(size, dtype=bool), np.empty(size, dtype=np.int8)
-    k_bufs = np.empty((2, size), dtype=np.intp)  # this task's step index and the previous one's
+    block = _FRAME_BLOCK
+    n_lanes = max(1, min(_CPUS, -(-n // block)))
+    size = min(n, block)
     # a frame changes speed at most n_tasks - 1 times
-    ch_buf = np.empty(size, dtype=np.int8 if sys.n_tasks - 1 <= np.iinfo(np.int8).max else np.int64)
-    for lo in range(0, n, _FRAME_BLOCK):
-        hi = min(lo + _FRAME_BLOCK, n)
-        rows = hi - lo
-        t, exec_t, hit, k8 = t_buf[:rows], exec_buf[:rows], hit_buf[:rows], k8_buf[:rows]
-        e, sw = energy[lo:hi], switch[lo:hi]
-        t.fill(0.0)
-        e.fill(0.0)
-        sw.fill(0.0)
-        ch = ch_buf[:rows]
-        ch.fill(0)
-        scalar_changes = 0
-        prev_f = prev_k = prev_base = None
-        for i, (times, fstep, pstep, pair_cost, n_steps) in enumerate(steps):
-            # base + k is the step a start t runs on: the count of step times
-            # <= t. times[:band_lo] are <= every start and times[band_hi:] above
-            # every start, so only the band between is counted; an empty band
-            # makes k one scalar for the whole block. A NaN start (NaN min and
-            # max) counts the whole band and gets the last step.
-            t_min, t_max = float(t.min()), float(t.max())
-            if t_min <= t_max:
-                band_lo, band_hi = bisect_right(times, t_min), bisect_right(times, t_max)
-            else:
-                band_lo, band_hi = 0, len(times)
-            base, k = band_hi, 0
-            if band_lo < band_hi:
-                # widened once to intp for the gathers
-                base, k = band_lo, k_bufs[i % 2, :rows]
-                k[:] = _count_at_or_below(times[band_lo:band_hi], t, k8, hit)
-            f = fstep[base:][k]
-            if prev_f is not None:
-                # speeds are strictly increasing, so equal speed is equal mode
-                if isinstance(k, np.ndarray) or isinstance(prev_k, np.ndarray):
-                    ch += np.not_equal(f, prev_f, out=hit).view(np.int8)
+    ch_kind = np.int8 if sys.n_tasks - 1 <= np.iinfo(np.int8).max else np.int64
+
+    starts = iter(range(0, n, block))
+    claim = threading.Lock()
+
+    def next_block() -> int | None:
+        with claim:
+            return next(starts, None)
+
+    def lane() -> None:
+        # takes the next unclaimed block until none is left, so a lane slowed
+        # by other work on its core leaves the rest to the others; every lane
+        # owns its scratch and writes only its blocks' rows of the outputs
+        t_buf, exec_buf = np.empty(size), np.empty(size)
+        hit_buf, k8_buf = np.empty(size, dtype=bool), np.empty(size, dtype=np.int8)
+        k_bufs = np.empty((2, size), dtype=np.intp)  # this task's step index and the previous one's
+        ch_buf = np.empty(size, dtype=ch_kind)
+        while (lo := next_block()) is not None:
+            hi = min(lo + block, n)
+            rows = hi - lo
+            t, exec_t, hit, k8 = t_buf[:rows], exec_buf[:rows], hit_buf[:rows], k8_buf[:rows]
+            e, sw = energy[lo:hi], switch[lo:hi]
+            t.fill(0.0)
+            e.fill(0.0)
+            sw.fill(0.0)
+            ch = ch_buf[:rows]
+            ch.fill(0)
+            scalar_changes = 0
+            prev_f = prev_k = prev_base = None
+            for i, (times, fstep, pstep, pair_cost, n_steps) in enumerate(steps):
+                # base + k is the step a start t runs on: the count of step times
+                # <= t. times[:band_lo] are <= every start and times[band_hi:] above
+                # every start, so only the band between is counted; an empty band
+                # makes k one scalar for the whole block. A NaN start (NaN min and
+                # max) counts the whole band and gets the last step.
+                t_min, t_max = float(t.min()), float(t.max())
+                if t_min <= t_max:
+                    band_lo, band_hi = bisect_right(times, t_min), bisect_right(times, t_max)
                 else:
-                    scalar_changes += bool(f != prev_f)
-                if overheads:
-                    # switch costs from the previous task's steps prev_base + prev_k
-                    # to this task's steps base + k, at [prev_k * n_steps + k]
-                    pair = k
-                    if isinstance(prev_k, np.ndarray):
-                        # prev_k is read nowhere after this, so it takes the pair index
-                        prev_k *= n_steps
-                        pair = np.add(prev_k, k, out=prev_k)
-                    cost = pair_cost[prev_base * n_steps + base:][pair]
-                    t += cost
-                    sw += cost
-            np.divide(cycles[lo:hi, i], f, out=exec_t)
-            t += exec_t
-            exec_t *= pstep[base:][k]
-            e += exec_t
-            if finish is not None:
-                finish[lo:hi, i] = t
-            prev_f, prev_k, prev_base = f, k, base
-        np.add(ch, scalar_changes, out=changes[lo:hi], dtype=np.int64)
-        np.greater(t, sys.deadline, out=missed[lo:hi])
+                    band_lo, band_hi = 0, len(times)
+                base, k = band_hi, 0
+                if band_lo < band_hi:
+                    # widened once to intp for the gathers
+                    base, k = band_lo, k_bufs[i % 2, :rows]
+                    k[:] = _count_at_or_below(times[band_lo:band_hi], t, k8, hit)
+                f = fstep[base:][k]
+                if prev_f is not None:
+                    # speeds are strictly increasing, so equal speed is equal mode
+                    if isinstance(k, np.ndarray) or isinstance(prev_k, np.ndarray):
+                        ch += np.not_equal(f, prev_f, out=hit).view(np.int8)
+                    else:
+                        scalar_changes += bool(f != prev_f)
+                    if overheads:
+                        # switch costs from the previous task's steps prev_base + prev_k
+                        # to this task's steps base + k, at [prev_k * n_steps + k]
+                        pair = k
+                        if isinstance(prev_k, np.ndarray):
+                            # prev_k is read nowhere after this, so it takes the pair index
+                            prev_k *= n_steps
+                            pair = np.add(prev_k, k, out=prev_k)
+                        cost = pair_cost[prev_base * n_steps + base:][pair]
+                        t += cost
+                        sw += cost
+                np.divide(cycles[lo:hi, i], f, out=exec_t)
+                t += exec_t
+                exec_t *= pstep[base:][k]
+                e += exec_t
+                if finish is not None:
+                    finish[lo:hi, i] = t
+                prev_f, prev_k, prev_base = f, k, base
+            np.add(ch, scalar_changes, out=changes[lo:hi], dtype=np.int64)
+            np.greater(t, sys.deadline, out=missed[lo:hi])
+
+    _run_lanes(lane, n_lanes)
     return finish, energy, switch, changes, missed
+
+
+def _run_lanes(lane: Callable[[], None], n_lanes: int) -> None:
+    """Run ``lane()`` on the calling thread and on ``n_lanes - 1`` threads
+    of its own, started here and joined before this returns or raises; the
+    first error in lane order (the caller's lane is first) is raised. numpy
+    releases the interpreter lock inside each ufunc, gather and reduction,
+    so the lanes' blocks overlap."""
+    errors: list[BaseException | None] = [None] * n_lanes
+
+    def guarded(j: int) -> None:
+        try:
+            lane()
+        except BaseException as exc:  # raised again on the caller below
+            errors[j] = exc
+
+    threads = []
+    try:
+        for j in range(1, n_lanes):
+            thread = threading.Thread(target=guarded, args=(j,), name=f"run_frames-lane-{j}")
+            thread.start()
+            threads.append(thread)
+        lane()
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def run_frame(
@@ -250,10 +304,11 @@ def _stats(energy, switch, changes, missed) -> SimStats:
 
 
 def sample_cycles(sys: FrameSystem, rng: np.random.Generator, n_frames: int) -> np.ndarray:
-    """Draw a column-major (n_frames, tasks) float64 cycle matrix, column by column."""
+    """Draw a column-major (n_frames, tasks) float64 cycle matrix, each task's
+    draws straight into its column."""
     cycles = np.empty((n_frames, sys.n_tasks), order="F")
     for i, task in enumerate(sys.tasks):
-        cycles[:, i] = task.dist.sample_array(rng, n_frames)
+        task.dist.sample_array(rng, n_frames, out=cycles[:, i])
     return cycles
 
 

@@ -4,6 +4,7 @@ Each row builds one bad input; the first rule it breaks names itself.
 Rows that read or write a file get a path under ``tmp_path``, and their
 message may name it as ``{path}``.
 """
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,10 @@ def _points(values, probs):
 
 def _system_dict(**dist):
     return lambda: system_from_dict({**SYS_DICT, "tasks": [{"wcec": 600, "dist": dist}]})
+
+
+def _draw_into(out):
+    CycleDistribution.uniform(1, 9).sample_array(np.random.default_rng(0), 4, out=out)
 
 
 def _experiment(names, baseline=None):
@@ -137,6 +142,20 @@ def _experiment(names, baseline=None):
         # workload functions
         pytest.param(lambda: CycleDistribution.uniform(5, 9).truncated(4), ValueError,
                      "cap below the smallest support value", id="truncated-below-support"),
+        *(
+            pytest.param(partial(_draw_into, out), ValueError,
+                         "out must be a contiguous float64 array of size elements",
+                         id=f"sample-array-out-{why}")
+            for why, out in (
+                ("int64", np.empty(4, dtype=np.int64)),
+                ("float32", np.empty(4, dtype=np.float32)),
+                ("short", np.empty(3)),
+                ("long", np.empty(5)),
+                ("2d", np.empty((4, 1))),
+                ("strided", np.empty(8)[::2]),
+                ("list", [0.0] * 4),
+            )
+        ),
         pytest.param(lambda: bin_trace([], 10), ValueError, "empty trace", id="bin-trace-empty"),
         pytest.param(lambda: bin_trace([5, 7], 0), ValueError, "bin size must be positive",
                      id="bin-trace-bin-zero"),

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from bisect import bisect_right
 from dataclasses import replace
@@ -566,6 +568,126 @@ class TestBandedStepLookup:
         self.check(monkeypatch, sysd, funcs, cycles)
         fin, *_ = run_frames(sysd, StrategySet(tuple(funcs)), cycles, finish=np.empty(cycles.shape))
         assert np.array_equal(fin[:, 0], cycles[:, 0] / 200.0)
+
+
+class TestLanes:
+    """run_frames' ``min(_CPUS, blocks)`` lanes take blocks from one queue,
+    the caller running lane 0; every output, with ``finish=`` and ``out=``
+    or without, keeps the bits of one lane."""
+
+    BLOCK = 7
+
+    def run(self, monkeypatch, cpus, sysd, strat, cycles, ov):
+        """run_frames at ``cpus`` usable CPUs, into garbage-filled ``finish``
+        and ``out`` arrays and into fresh ones; also returns the lane count
+        and the threads that ran a lane."""
+        monkeypatch.setattr(simulator, "_CPUS", cpus)
+        calls = []  # (lane count, threads that ran a lane) of each call
+        run_lanes = simulator._run_lanes
+
+        def spy(lane, n_lanes):
+            ran = set()
+            calls.append((n_lanes, ran))
+            run_lanes(lambda: (ran.add(threading.current_thread()), lane()), n_lanes)
+
+        monkeypatch.setattr(simulator, "_run_lanes", spy)
+        n = len(cycles)
+        fin = np.full(cycles.shape, np.nan)
+        out = (np.full(n, np.nan), np.full(n, np.nan), np.full(n, -1), np.ones(n, dtype=bool))
+        got = run_frames(sysd, strat, cycles, ov, fin, out=out)
+        assert got[0] is fin and all(g is o for g, o in zip(got[1:], out))
+        bare = run_frames(sysd, strat, cycles, ov)
+        (lanes, ran), (bare_lanes, bare_ran) = calls
+        assert lanes == bare_lanes and len(ran) == len(bare_ran) == lanes
+        assert threading.current_thread() in ran
+        return got, bare, lanes, ran
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_outputs_do_not_depend_on_lanes(self, monkeypatch, rows):
+        """Lanes 1, 2, 3 and 5 on row counts around the block edges give one
+        lane's bits; below two blocks the caller runs alone."""
+        monkeypatch.setattr(simulator, "_FRAME_BLOCK", self.BLOCK)
+        blocks = -(-rows // self.BLOCK)
+        cases = tie_heavy_cases(np.random.default_rng(rows), 3, n_frames=40)
+        for case, (sysd, funcs, cycles) in enumerate(cases):
+            strat = StrategySet(tuple(funcs))
+            cycles = cycles[:rows]
+            for ov in (False, True):
+                one, one_bare, lanes, ran = self.run(monkeypatch, 1, sysd, strat, cycles, ov)
+                assert lanes == 1 and ran == {threading.current_thread()}
+                assert_equals_replay(one_bare, (None,) + one[1:], (rows, case, ov))
+                for cpus in (2, 3, 5):
+                    got, bare, lanes, _ = self.run(monkeypatch, cpus, sysd, strat, cycles, ov)
+                    assert lanes == max(1, min(cpus, blocks)), (rows, cpus)
+                    assert_equals_replay(got, one, (rows, case, ov, cpus))
+                    assert_equals_replay(bare, one_bare, (rows, case, ov, cpus))
+
+    def test_more_lanes_than_cores_under_a_short_switch_interval(self, monkeypatch):
+        """Eight lanes of one-row-to-five-row blocks, switching threads every
+        microsecond, still give one lane's bits: a lane that wrote another's
+        rows, or shared its scratch, would change some."""
+        (sysd, funcs, cycles), = tie_heavy_cases(np.random.default_rng(21), 1, 400)
+        strat = StrategySet(tuple(funcs))
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for block in (1, 5):
+                monkeypatch.setattr(simulator, "_FRAME_BLOCK", block)
+                for ov in (False, True):
+                    one = self.run(monkeypatch, 1, sysd, strat, cycles, ov)[:2]
+                    for _ in range(3):
+                        got, bare, lanes, _ = self.run(monkeypatch, 8, sysd, strat, cycles, ov)
+                        assert lanes == 8
+                        assert_equals_replay(got, one[0], (block, ov))
+                        assert_equals_replay(bare, one[1], (block, ov))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing", ["other lanes", "every lane"])
+    def test_a_lane_error_reaches_the_caller(self, monkeypatch, failing):
+        """A lane that raises has its error raised on the caller, after every
+        lane is joined: lane 1's when only the started lanes fail, lane 0's
+        when the caller's lane fails too. Each failing lane stops at its
+        first block, and the caller holds its first block until both started
+        lanes have failed, so each of them takes a block; the caller then
+        runs the rest."""
+        caller = threading.current_thread()
+        count = simulator._count_at_or_below
+        failed = threading.Semaphore(0)
+        waited = []  # whether both started lanes failed while the caller held its first block
+
+        def fail(*args):
+            here = threading.current_thread()
+            if here is not caller or failing == "every lane":
+                failed.release()
+                raise RuntimeError(here.name)
+            if not waited:
+                waited.append(all(failed.acquire(timeout=10) for _ in range(2)))
+            return count(*args)
+
+        monkeypatch.setattr(simulator, "_FRAME_BLOCK", self.BLOCK)
+        monkeypatch.setattr(simulator, "_CPUS", 3)
+        monkeypatch.setattr(simulator, "_count_at_or_below", fail)
+        cpu = FrequencyTable((100.0, 200.0, 400.0), (1.0, 3.0, 9.0))
+        task = TaskSpec(200, CycleDistribution.uniform(100, 200))
+        sysd = FrameSystem((task, task), 10.0, cpu)
+        # task 1 starts in [1, 2] s, straddling a step in every block
+        funcs = StrategySet((
+            StepFunction(((0.0, 100.0),)),
+            StepFunction(((0.0, 100.0),) + tuple(
+                (0.01 * j, (100.0, 400.0)[j % 2]) for j in range(101, 201)
+            )),
+        ))
+        cycles = np.random.default_rng(22).integers(100, 201, (40, 2)).astype(np.float64)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError) as info:
+            run_frames(sysd, funcs, cycles)
+        leaked = [t for t in threading.enumerate() if t not in before]
+        for thread in leaked:
+            thread.join(timeout=10)
+        assert not leaked and threading.active_count() == len(before)
+        assert str(info.value) == (caller.name if failing == "every lane" else "run_frames-lane-1")
+        assert waited == ([] if failing == "every lane" else [True])
 
 
 class TestExactSum:

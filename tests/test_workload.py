@@ -63,8 +63,9 @@ class TestSampling:
 
 
 class TestUniformDraws:
-    """Uniform draws scale ``u`` in place and cast it once; they are the
-    int64 draws of ``lo + min(int(u * n), n - 1)`` on the same uniforms."""
+    """Uniform draws scale ``u`` in place and cast it one ``_CHUNK`` at a
+    time; they are the int64 draws of ``lo + min(int(u * n), n - 1)`` on
+    the same uniforms, and with ``out=`` those draws as float64."""
 
     @staticmethod
     def plain(d, u):
@@ -72,13 +73,14 @@ class TestUniformDraws:
         return d.lo + np.minimum((u * n).astype(np.int64), n - 1)
 
     @pytest.mark.parametrize("lo, hi", [(7, 7), (1, 10), (800_000, 1_500_000), (1, 2**31 - 1), (5, 2**31 + 3)])
-    @pytest.mark.parametrize("size", [1, 2, 1000, 16_383, 16_384, 16_385])
+    @pytest.mark.parametrize("size", [1, 2, 1000, 16_383, 16_384, 16_385, 2 * workload._CHUNK + 3])
     def test_same_draws_as_the_plain_formula(self, lo, hi, size):
         d = CycleDistribution.uniform(lo, hi)
         got = d.sample_array(np.random.default_rng(size), size)
         want = self.plain(d, np.random.default_rng(size).random(size))
         assert got.dtype == np.int64 and np.array_equal(got, want)
         assert got.min() >= lo and got.max() <= hi
+        assert_draws_into_a_column(d, np.random.default_rng(size), want)
 
     @pytest.mark.parametrize("lo, hi", [(7, 7), (1, 10), (1, 2**31 - 1), (5, 2**31 + 3), (1, 2**53)])
     def test_edge_uniforms(self, lo, hi):
@@ -88,6 +90,7 @@ class TestUniformDraws:
         got = d.sample_array(FixedUniforms(u.copy()), len(u))
         assert got.dtype == np.int64 and np.array_equal(got, self.plain(d, u))
         assert got[0] == lo and got[-1] == hi
+        assert_draws_into_a_column(d, FixedUniforms(u), got)
 
     @pytest.mark.parametrize("lo, hi", [(1, 2**53 + 1), (5, 2**60)])
     def test_ranges_wider_than_2_53_are_refused(self, lo, hi):
@@ -102,9 +105,24 @@ class FixedUniforms:
     def __init__(self, u):
         self.u = np.asarray(u, dtype=np.float64)
 
-    def random(self, size):
+    def random(self, size, out=None):
         assert size == len(self.u)
-        return self.u
+        if out is None:
+            return self.u
+        out[:] = self.u
+        return out
+
+
+def assert_draws_into_a_column(d, rng, want):
+    """``sample_array(..., out=col)`` on a column of a column-major matrix
+    fills that column with ``want`` cast to float64, returns it, and leaves
+    the other columns alone."""
+    matrix = np.full((len(want), 3), -1.0, order="F")
+    col = matrix[:, 1]
+    assert d.sample_array(rng, len(want), out=col) is col
+    expect = want.astype(np.float64)
+    assert np.array_equal(col.view(np.int64), expect.view(np.int64))
+    assert (matrix[:, [0, 2]] == -1.0).all()
 
 
 def searchsorted_draw(d, u):
@@ -170,6 +188,7 @@ class TestCountingDraws:
                 want = searchsorted_draw(d, u)
                 got = d.sample_array(FixedUniforms(u), size)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (size, n, d.kind)
+                assert_draws_into_a_column(d, FixedUniforms(u), want)
 
     def test_wide_histogram_draws_in_chunks(self):
         """1e6 draws from 2,000 bins hold u and the draws (16 MB) plus one
