@@ -117,8 +117,8 @@ def worst_finish_oracle(
                         fidx, dom_lo + cost + clo / f, dom_hi + cost + chi / f,
                         src, cost, dom_lo, dom_hi, f, clo, chi,
                     ))
-        if len(contribs) > MAX_INTERVALS:
-            raise CapExceededError("reachable interval count exceeds cap")
+            if len(contribs) > MAX_INTERVALS:
+                raise CapExceededError("reachable interval count exceeds cap")
         tops.append(max(contribs, key=itemgetter(2)))
         starts.append(_merge(contribs))
     return WorstCaseReport(tuple(c[2] for c in tops), starts, tops)

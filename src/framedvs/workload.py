@@ -10,12 +10,13 @@ percentiles use the bin's upper edge, which never understates load.
 Convolution is numpy-only: running sums on a shared integer grid, one
 cumulative sum per task and one shifted difference per run of equal
 mass, read back only on the exact support of the sum. A uniform is one
-run read from lo and hi, and a run that covers its task's whole grid is
-written back into the one grid buffer in chunks, top chunk first.
+run read from lo and hi, and every task's runs are summed into the one
+grid buffer one chunk at a time, top chunk first.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -191,8 +192,7 @@ class CycleDistribution:
             k = math.ceil((1.0 - eps) * n - _CDF_GRACE)
             return self.lo + max(k, 1) - 1
         vals, mass = self.atoms()
-        cdf = np.cumsum(mass)
-        k = int(np.searchsorted(cdf, 1.0 - eps - _CDF_GRACE, side="left"))
+        k = _first_cdf_above(mass, math.nextafter(1.0 - eps - _CDF_GRACE, -math.inf))
         return int(vals[min(k, len(vals) - 1)])
 
     def sample_array(
@@ -337,16 +337,16 @@ def _span(d: CycleDistribution) -> tuple[int, int, int, tuple[np.ndarray, np.nda
 
 def _grid_runs(
     d: CycleDistribution, atoms: tuple[np.ndarray, np.ndarray] | None, stride: int
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, tuple[list[int], list[int], list[float]]]:
     """Support runs of ``d`` on the grid of ``stride``, and its runs of equal
-    nonzero mass a over grid indices s..t-1 as arrays (s, t, a), from the
+    nonzero mass a over grid indices s..t-1 as lists (s, t, a), from the
     ``atoms`` that ``_span`` gave. A uniform's (no atoms) come from lo and
     hi alone (its stride is 1 unless lo == hi): one run, of mass 1/n, the
     bits its atoms would give.
     """
     if atoms is None:
         n = d.hi - d.lo + 1
-        return np.array([[0, n - 1]]), (np.array([0]), np.array([n]), np.array([1.0 / n]))
+        return np.array([[0, n - 1]]), ([0], [n], [1.0 / n])
     v, p = atoms
     k = (v - v[0]) // stride
     grid = np.bincount(k, p)
@@ -354,7 +354,7 @@ def _grid_runs(
     t = np.append(s[1:], len(grid))
     a = grid[s]
     keep = a != 0.0
-    return _runs(k), (s[keep], t[keep], a[keep])
+    return _runs(k), (s[keep].tolist(), t[keep].tolist(), a[keep].tolist())
 
 
 def convolve(dists: Iterable[CycleDistribution]) -> CycleDistribution:
@@ -371,14 +371,13 @@ def convolve(dists: Iterable[CycleDistribution]) -> CycleDistribution:
     consecutive grid indices, where the masses are read and normalised.
 
     A uniform is one run read from lo and hi, so its atoms are never
-    built. The partial sum lives in one zero-padded buffer. A task whose
-    one run covers its whole grid (every uniform and every single-bin
-    histogram) writes its terms back into that buffer in fixed chunks,
-    top chunk first, with no zero fill and no second grid-length array:
-    a chunk reads only indices at or below its own, none written yet, and
-    0.0 + y is y for every y >= +0, so the bits are those of the per-run
-    path. Other tasks sum their runs into a scratch array that is copied
-    back. A support of one run is read back as a slice.
+    built. The partial sum lives in one zero-padded buffer that each task
+    rewrites in fixed chunks, top chunk first, with no grid-length scratch:
+    a chunk reads only indices below its top, none written yet. A run's
+    term is +0.0 outside its window, where its two reads are equal, and
+    y + 0.0 is y for y >= +0; so a chunk's first run fills it (into the
+    buffer for a one-run task, else a chunk-sized accumulator) and later
+    runs add on their windows in run order. One support run reads back as a slice.
     Raises ``CapExceededError`` when the grid or the run pairs exceed ``CONVOLVE_CAP``.
     """
     dists = list(dists)
@@ -403,27 +402,27 @@ def convolve(dists: Iterable[CycleDistribution]) -> CycleDistribution:
     buf = np.zeros(pad + size)
     C = buf[pad:]
     C[0] = 1.0  # the empty sum
-    chunk = np.empty(min(size, _CHUNK))
+    diff, acc = np.empty(min(size, _CHUNK)), np.empty(min(size, _CHUNK))
     reach = 0  # the partial sum's mass lies on grid indices 0..reach
     for length, (first, stop, level) in zip(lengths, mass_runs):
         n = reach + length
         np.cumsum(C[:n], out=C[:n])
-        if len(level) == 1 and stop[0] - first[0] == length:
-            # the run 0..length-1 writes a * (C[x] - C[x - length]) at every x < n, one
-            # chunk at a time from the top: chunk [lo, hi) reads C only below hi, all unwritten
-            for lo in range((n - 1) // _CHUNK * _CHUNK, -1, -_CHUNK):
-                hi = min(lo + _CHUNK, n)
-                diff = np.subtract(C[lo:hi], buf[pad + lo - length:pad + hi - length], out=chunk[:hi - lo])
-                np.multiply(diff, level[0], out=C[lo:hi])
-        else:
-            out, term = np.zeros(n), np.empty(n)
-            for s, t, a in zip(first.tolist(), stop.tolist(), level.tolist()):
-                # run s..t-1 adds a * (C[i] - C[i - (t - s)]) at x = s + i, nonzero for i < m
-                m = t - s + reach
-                diff = np.subtract(C[:m], buf[pad + s - t:pad + reach], out=term[:m])
-                out[s:s + m] += np.multiply(diff, a, out=diff)
-            C[:n] = out
-            del out, term  # freed before the next task or the read-back allocates
+        # run s..t-1 adds a * (C[x - s] - C[x - t]) at x, +0.0 outside s <= x < t + reach
+        for lo in range((n - 1) // _CHUNK * _CHUNK, -1, -_CHUNK):
+            hi = min(lo + _CHUNK, n)
+            out = C[lo:hi] if len(level) == 1 else acc[:hi - lo]
+            # runs j..end-1 meet the chunk; run j (the last run if none does) fills all of it
+            j, end = min(bisect_right(stop, lo - reach), len(level) - 1), bisect_left(first, hi)
+            ps, pt = pad - first[j], pad - stop[j]  # buf[x + ps] is C[x - first[j]]
+            d = np.subtract(buf[lo + ps:hi + ps], buf[lo + pt:hi + pt], out=diff[:hi - lo])
+            np.multiply(d, level[j], out=out)
+            for s, t, a in zip(first[j + 1:end], stop[j + 1:end], level[j + 1:end]):
+                x0 = s if s > lo else lo  # max() and min() cost more than small ufuncs
+                x1 = t + reach if t + reach < hi else hi
+                d = np.subtract(C[x0 - s:x1 - s], buf[pad + x0 - t:pad + x1 - t], out=diff[:x1 - x0])
+                out[x0 - lo:x1 - lo] += np.multiply(d, a, out=d)
+            if len(level) > 1:
+                C[lo:hi] = out
         reach = n - 1
     del mass_runs  # freed before the result is read back
     if len(runs) == 1:  # the support is every grid index 0..size-1

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from framedvs import (
     StrategySet,
     TaskSpec,
     build_limit,
+    danger_zones,
     danger_zones_overhead,
     discretize,
     dpms_rule,
@@ -263,6 +265,24 @@ class TestCaps:
         )
         with pytest.raises(CapExceededError):
             worst_finish_oracle(sysd, strat)
+
+    def test_refused_before_the_list_is_built(self):
+        """Two tasks of 600 bins with an empty bin between each pair reach
+        360,000 contributions: 60.8 MiB traced before the refusal when the
+        count was checked after the whole list, 17.2 MiB checked per start
+        interval."""
+        d = CycleDistribution.histogram(1000, [1 / 600, 0.0] * 599 + [1 / 600])
+        cpu = FrequencyTable((1e6, 2e6, 4e6), (0.1, 0.3, 1.0))
+        sysd = FrameSystem((TaskSpec(d.support_max, d),) * 2, 1.0, cpu)
+        strat = build_limit(sysd, danger_zones(sysd))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                worst_finish_oracle(sysd, strat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestLazyWitness:

@@ -253,6 +253,29 @@ class TestMoments:
         vals = [d.percentile(e) for e in (0.01, 0.05, 0.1, 0.3, 0.6, 0.9)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
+    def test_percentile_matches_full_cumulative_sum(self):
+        """percentile reads the first cumulative mass at or above 1 - eps
+        through _first_cdf_above at the threshold's float predecessor:
+        the index ``searchsorted(np.cumsum(mass), x, "left")`` gives, on
+        points with zero masses, thresholds on cdf values and beside them."""
+        rng = np.random.default_rng(41)
+        for size in [1, 2, 7, 300, workload._CHUNK + 5] * 6:
+            mass = rng.random(size)
+            mass[rng.random(size) < 0.3] = 0.0
+            mass[-1] += 0.1
+            mass /= mass.sum()
+            d = CycleDistribution("points", values=np.arange(1, size + 1), probs=mass)
+            cdf = np.cumsum(mass)
+            at = rng.choice(cdf, min(size, 40)).tolist()
+            thresholds = at + [math.nextafter(x, 2.0) for x in at] + [math.nextafter(x, -1.0) for x in at]
+            for x in thresholds + [0.0, 1.0, 2.0]:
+                want = int(np.searchsorted(cdf, x, side="left"))
+                assert workload._first_cdf_above(mass, math.nextafter(x, -math.inf)) == want, x
+            for eps in [1.0 - workload._CDF_GRACE - x for x in at] + [1e-9, 0.05, 0.5, 0.999]:
+                if 0.0 < eps < 1.0:
+                    k = int(np.searchsorted(cdf, 1.0 - eps - workload._CDF_GRACE, side="left"))
+                    assert d.percentile(eps) == d.values[min(k, size - 1)], eps
+
     def test_percentile_eps_validated(self):
         d = CycleDistribution.uniform(1, 4)
         for bad in (0.0, 1.0, -0.1, 1.5):
@@ -457,6 +480,19 @@ class TestConvolve:
             tracemalloc.stop()
         assert peak < 5 * 2**20
 
+    def test_multi_run_task_memory(self):
+        """Peak traced memory of convolve over xscale's twelve uniforms plus
+        one 10-bin histogram: 37.1 MiB while a multi-run task summed its runs
+        into two grid-length scratch arrays, 25.6 MiB summed one chunk at a
+        time into the grid buffer."""
+        tracemalloc.start()
+        try:
+            convolve(xscale_with_histogram())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 2**20
+
     def test_cap_counts_run_pairs(self, monkeypatch):
         # 50 separate runs on a 500-point grid: 2500 run pairs, 999 grid points
         a = CycleDistribution.from_points({v: 1 / 51 for v in [1, 2] + list(range(20, 510, 10))})
@@ -465,6 +501,14 @@ class TestConvolve:
         monkeypatch.setattr(workload, "CONVOLVE_CAP", 2499)
         with pytest.raises(CapExceededError):
             convolve([a, a])
+
+
+def xscale_with_histogram():
+    """xscale's twelve uniforms and a 10-bin histogram of distinct masses:
+    a 10-run task on a grid of 1,539,001 indices, 47 chunks."""
+    xscale = load_system(Path(__file__).resolve().parent.parent / "configs" / "xscale.json")
+    hist = CycleDistribution.histogram(1000, [0.02, 0.08, 0.15, 0.05, 0.2, 0.1, 0.12, 0.03, 0.18, 0.07])
+    return [t.dist for t in xscale.tasks] + [hist]
 
 
 def mixed_dists(rng):
@@ -558,6 +602,30 @@ class TestConvolveBits:
         dists = [t.dist for t in xscale.tasks] + [CycleDistribution.degenerate(7)] * 4
         assert self.digest([convolve(dists)]) == (
             "51f7ec58b0b98aa444d16a0e165efd8506559b6fef3bf58aaed1b6b483b54e59"
+        )
+
+
+    def test_xscale_with_histogram(self):
+        """Recorded while multi-run tasks summed into grid-length scratch
+        arrays, with the histogram last (10 runs over 47 chunks) and first
+        (its runs summed onto the empty sum)."""
+        dists = xscale_with_histogram()
+        assert self.digest([convolve(dists), convolve(dists[-1:] + dists[:-1])]) == (
+            "27999e14a83190324297faebfaea7b6b0dae7592eb62f89724bcde5d2dc5e965"
+        )
+
+    def test_chunks_no_run_meets(self):
+        """Runs far apart on grids of two or three chunks: a chunk in the gap
+        between a task's runs, and chunks above its last run where its top
+        atom has zero mass. Recorded while multi-run tasks summed into
+        grid-length scratch arrays."""
+        gap = CycleDistribution.from_points({1: 0.25, 2: 0.25, 70_001: 0.5})
+        top = CycleDistribution("points", values=[1, 3, 80_000], probs=[0.3, 0.7, 0.0])
+        one = CycleDistribution("points", values=[1, 2, 80_000], probs=[0.5, 0.5, 0.0])
+        u = CycleDistribution.uniform(1, 5)
+        mixes = [[gap, u], [u, gap], [top, u], [u, top], [one, u], [gap, top, one]]
+        assert self.digest(convolve(ds) for ds in mixes) == (
+            "596ac1a36f05e63bb9a2fb1f8216607f7498c7cbed945ecaece8edfa1b7f432d"
         )
 
 
