@@ -45,15 +45,14 @@ __all__ = ["main"]
 def _build_entry(entry: StrategyEntry, system: FrameSystem, zones) -> StrategySet:
     """Build one strategy entry; pitdvs reads ``beta`` and ``pt`` from its params,
     which ``StrategyEntry`` has already converted to a float tuple and a float."""
-    mode = entry.mode
     if entry.kind == "limit":
         return build_limit(system, zones)
     if entry.kind == "dpms":
-        return discretize(system, zones, dpms_rule(system, mode), mode)
+        return discretize(system, zones, dpms_rule(system), entry.mode)
     beta, pt = entry.params.get("beta"), entry.params.get("pt")
     bv = BetaVector.ones(system.n_tasks) if beta is None else BetaVector(beta)
     penalty = system.cpu.change_penalty_max if pt is None else pt
-    return discretize(system, zones, pitdvs_rule(system, bv, penalty, mode), mode)
+    return discretize(system, zones, pitdvs_rule(system, bv, penalty), entry.mode)
 
 
 def _soft_build_system(system: FrameSystem, eps: float) -> FrameSystem:

@@ -21,29 +21,18 @@ from .core import (
 from .schedulability import DangerZones
 
 __all__ = [
-    "ContinuousRule",
     "BetaVector",
     "build_limit",
     "build_soft_speed",
     "dpms_rule",
     "pitdvs_rule",
     "discretize",
-    "limit_rule",
 ]
 
-
-@dataclass(frozen=True)
-class ContinuousRule:
-    """A continuous speed rule given through its inverse.
-
-    ``inverse(i, f)`` returns the time at which task i's continuous rule
-    crosses speed f (-inf if the rule starts above f, +inf if it never
-    reaches it). ``mode`` records the discretization the rule was
-    prepared for; the discretizer's explicit mode argument wins.
-    """
-
-    inverse: Callable[[int, float], float]
-    mode: str = "closest"
+# A continuous speed rule, given through its inverse: rule(i, f) is the time
+# at which task i's rule crosses speed f (-inf if the rule starts above f,
+# +inf if it never reaches it).
+Rule = Callable[[int, float], float]
 
 
 @dataclass(frozen=True)
@@ -66,20 +55,22 @@ class BetaVector:
 def build_limit(sys: FrameSystem, zones: DangerZones) -> StrategySet:
     """Laziest schedulable strategy: the limit ceilinged to table speeds.
 
-    Per task, the step up to frequency f_j starts where the limit crosses
-    f_{j-1}; crossings before time 0 clamp to 0 and collapse in
-    normalization.
+    This is ``discretize``'s limit clamp alone, on a rule that never
+    reaches any speed: per task, the step up to frequency f_j starts where
+    the limit crosses f_{j-1}; crossings before time 0 clamp to 0 and
+    collapse in normalization.
     """
-    return discretize(sys, zones, limit_rule(sys, zones), "up")
+    return discretize(sys, zones, lambda i, f: math.inf, "up")
 
 
-def dpms_rule(sys: FrameSystem, mode: str = "closest") -> ContinuousRule:
+def dpms_rule(sys: FrameSystem, mode: str = "closest") -> Rule:
     """Speed rule that bets remaining tasks use their average cycles.
 
     The continuous speed at start time t is (sum of average cycles of
     this and the following tasks) / (D - t); the sum runs over the
     remaining tasks, reading the per-task averages from their
-    distributions.
+    distributions. ``mode`` is ignored: ``discretize`` takes the
+    rounding mode.
     """
     d = sys.deadline
     means = [t.dist.mean() for t in sys.tasks]
@@ -88,19 +79,20 @@ def dpms_rule(sys: FrameSystem, mode: str = "closest") -> ContinuousRule:
     def inverse(i: int, f: float) -> float:
         return d - remaining[i] / f
 
-    return ContinuousRule(inverse, mode=mode)
+    return inverse
 
 
 def pitdvs_rule(
     sys: FrameSystem, beta: BetaVector, pt: float, mode: str = "closest"
-) -> ContinuousRule:
+) -> Rule:
     """Patched inter-task rule with aggressiveness levels and a scalar
     change penalty.
 
     Task i's continuous speed at start time t is
     w_i / (beta_i * (D - pt*(N-1-i) - t)); the penalty term reserves time
     for the remaining switches. The penalty enters as a scalar, not the
-    pairwise table.
+    pairwise table. ``mode`` is ignored: ``discretize`` takes the
+    rounding mode.
     """
     if len(beta.beta) != sys.n_tasks:
         raise ValueError("beta length does not match task count")
@@ -116,11 +108,11 @@ def pitdvs_rule(
     def inverse(i: int, f: float) -> float:
         return horizons[i] - wc[i] / (beta.beta[i] * f)
 
-    return ContinuousRule(inverse, mode=mode)
+    return inverse
 
 
 def discretize(
-    sys: FrameSystem, zones: DangerZones, rule: ContinuousRule, mode: str
+    sys: FrameSystem, zones: DangerZones, rule: Rule, mode: str
 ) -> StrategySet:
     """Map a continuous rule onto table speeds, respecting the limit.
 
@@ -142,7 +134,7 @@ def discretize(
         raw = [(0.0, freqs[0])]
         for j in range(1, len(freqs)):
             f_query = freqs[j - 1] if mode == "up" else (freqs[j - 1] + freqs[j]) / 2.0
-            t_rule = rule.inverse(i, f_query)
+            t_rule = rule(i, f_query)
             t_lim = zones.crossing(i, task.wcec, freqs[j - 1])
             raw.append((max(min(t_rule, t_lim), 0.0), freqs[j]))
         funcs.append(normalize_steps(raw))
@@ -163,10 +155,3 @@ def build_soft_speed(sys: FrameSystem, soft) -> StrategySet:
     f_star = quantize(sys.cpu, soft.frame_wcec / soft.adjusted_deadline, "up")
     flat = StepFunction(((0.0, f_star),))
     return StrategySet(tuple(flat for _ in sys.tasks))
-
-
-def limit_rule(sys: FrameSystem, zones: DangerZones) -> ContinuousRule:
-    """The schedulability limit itself as a continuous rule."""
-    wc = sys.wcecs
-    return ContinuousRule(lambda i, f: zones.crossing(i, wc[i], f), mode="up")
-

@@ -19,14 +19,13 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import CapExceededError, _count_at_or_below, _exact_sum, as_cycle_array, as_cycles
-
-if TYPE_CHECKING:
-    from .core import FrameSystem
+from .core import (
+    CapExceededError, FrameSystem, _count_at_or_below, _exact_sum, as_cycle_array, as_cycles,
+)
 
 __all__ = [
     "CycleDistribution",
@@ -250,11 +249,16 @@ class CycleDistribution:
         """Clamp demand at ``cap`` cycles, moving excess mass onto cap.
 
         Used when a percentile stands in as the worst case: the tail
-        beyond it is treated as if it stopped there.
+        beyond it is treated as if it stopped there. Raises
+        ``CapExceededError`` before building the atoms when there are more
+        than ``CONVOLVE_CAP`` of them.
         """
         cap = as_cycles(cap)
         if cap >= self.support_max:
             return self
+        n = self.n_atoms()
+        if n > CONVOLVE_CAP:
+            raise CapExceededError(f"truncation of {n} atoms exceeds cap {CONVOLVE_CAP}")
         vals, mass = self.atoms()
         if cap < vals[0]:
             raise ValueError("cap below the smallest support value")
@@ -467,13 +471,15 @@ class SoftDeadlineResult:
     adjusted_deadline: float
 
 
-def soft_deadline(sys: "FrameSystem", eps: float) -> SoftDeadlineResult:
+def soft_deadline(sys: FrameSystem, eps: float) -> SoftDeadlineResult:
     """Percentile-based deadline relaxation for soft real-time frames.
 
     The frame-level percentile is the smallest total-cycle value c on the
-    convolution's support with P[total < c] > 1 - eps; scaling the
-    deadline by (total worst case) / c keeps the miss probability near
-    eps. A heuristic, not a guarantee. The cumulative masses are summed
+    convolution's support with P[total < c] > 1 - eps; the deadline is
+    scaled by (total worst case) / c. A flat speed f* not below c / D, as
+    ``build_soft_speed`` takes, misses exactly when the total demand
+    exceeds f*·D >= c, so with probability below eps, up to the float
+    rounding of the cumulative masses. The cumulative masses are summed
     chunk by chunk and only up to the crossing, with no full-length array.
     """
     if not 0.0 < eps < 1.0:

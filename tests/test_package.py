@@ -31,13 +31,13 @@ KEPT = {
 }
 
 PUBLIC = [
-    "BetaVector", "CapExceededError", "CheckReport", "ContinuousRule", "CycleDistribution",
+    "BetaVector", "CapExceededError", "CheckReport", "CycleDistribution",
     "DangerZones", "FrameDvsError", "FrameResult", "FrameSystem", "FrequencyTable",
     "InfeasibleSystemError", "SimStats", "SoftDeadlineResult",
     "SpeedRangeError", "StepFunction", "StrategySet", "SweepCell", "SweepTable", "TaskSpec",
     "Violation", "WorstCaseReport", "bin_trace", "build_limit", "build_soft_speed", "check",
     "convolve", "danger_zones", "danger_zones_overhead", "discretize", "dpms_rule",
-    "eval_step", "evaluate", "exact_expectation", "limit", "limit_rule", "monte_carlo",
+    "eval_step", "evaluate", "exact_expectation", "limit", "monte_carlo",
     "normalize_steps", "pitdvs_rule", "quantize", "run_frame", "run_frames",
     "soft_deadline", "sweep_deadlines", "worst_finish_oracle",
 ]

@@ -4,6 +4,7 @@ Each row builds one bad input; the first rule it breaks names itself.
 Rows that read or write a file get a path under ``tmp_path``, and their
 message may name it as ``{path}``.
 """
+import json
 from functools import partial
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from framedvs import (
     sweep_deadlines,
     workload,
 )
+from framedvs.cli import main
 from framedvs.config import (
     ExperimentConfig,
     SimulationSettings,
@@ -254,3 +256,27 @@ def test_convolve_grid_cap(monkeypatch):
     with pytest.raises(CapExceededError) as info:
         convolve([wide])
     assert str(info.value) == "convolution support exceeds cap"
+
+
+def test_truncation_cap(monkeypatch):
+    """A truncation refuses before it builds more atoms than the cap."""
+    monkeypatch.setattr(workload, "CONVOLVE_CAP", 1_000)
+    with pytest.raises(CapExceededError) as info:
+        CycleDistribution.uniform(1, 5_000).truncated(4_000)
+    assert str(info.value) == "truncation of 5000 atoms exceeds cap 1000"
+
+
+def test_soft_eps_on_a_wide_uniform_exits_three(tmp_path, capsys):
+    """simulate's soft_eps truncation of a 2**45-value uniform is too large, not out of memory."""
+    task = {"wcec": 2**45, "dist": {"kind": "uniform", "lo": 1, "hi": 2**45}}
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "system": {**SYS_DICT, "tasks": [task]},
+        "strategies": [{"name": "dpms", "kind": "dpms"}],
+        "simulation": {"n_frames": 10, "soft_eps": 0.05},
+    }))
+    assert main(["simulate", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "error: input is valid but too large for an exact answer: "
+        f"truncation of {2**45} atoms exceeds cap {workload.CONVOLVE_CAP}\n"
+    )

@@ -16,11 +16,10 @@ from framedvs import (
     dpms_rule,
     eval_step,
     limit,
-    limit_rule,
+    normalize_steps,
     pitdvs_rule,
     quantize,
 )
-from framedvs.strategies import ContinuousRule
 
 import gen
 
@@ -72,7 +71,7 @@ class TestDpmsRule:
         )
         sysd = FrameSystem(tasks, 1.0, cpu)
         rule = dpms_rule(sysd)
-        assert rule.inverse(0, 150.0) == pytest.approx(0.0, abs=1e-12)
+        assert rule(0, 150.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_inverse_closed_form(self):
         cpu = FrequencyTable((100.0, 1000.0), (0.1, 0.2))
@@ -82,15 +81,14 @@ class TestDpmsRule:
         )
         sysd = FrameSystem(tasks, 1.0, cpu)
         rule = dpms_rule(sysd)
-        assert rule.inverse(0, 300.0) == pytest.approx(1 - 150 / 300, rel=1e-12)
+        assert rule(0, 300.0) == pytest.approx(1 - 150 / 300, rel=1e-12)
 
     def test_single_degenerate_task_matches_limit(self):
         sysd = degenerate_system((400,), 1.0, (500.0, 1000.0))
         zones = danger_zones(sysd)
         rule = dpms_rule(sysd)
-        lim = limit_rule(sysd, zones)
         for f in (450.0, 500.0, 700.0, 999.0):
-            assert rule.inverse(0, f) == pytest.approx(lim.inverse(0, f), rel=1e-12)
+            assert rule(0, f) == pytest.approx(zones.crossing(0, 400, f), rel=1e-12)
 
     def test_degenerate_up_is_at_least_limit(self):
         # betting on averages that equal the worst case never schedules
@@ -116,20 +114,20 @@ class TestPitdvsRule:
         sysd = degenerate_system((100, 100), 1.0, (100.0, 1000.0))
         rule = pitdvs_rule(sysd, BetaVector.ones(2), 0.0)
         # speed 100 needed from the start: crossing time is 0
-        assert rule.inverse(0, 100.0) == pytest.approx(0.0, abs=1e-12)
+        assert rule(0, 100.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_inverse_is_deadline_minus_work(self):
         sysd = degenerate_system((100, 100), 1.0, (100.0, 1000.0))
         rule = pitdvs_rule(sysd, BetaVector.ones(2), 0.0)
         for f in (200.0, 400.0, 800.0):
-            assert rule.inverse(1, f) == pytest.approx(1.0 - 100 / f, rel=1e-12)
+            assert rule(1, f) == pytest.approx(1.0 - 100 / f, rel=1e-12)
 
     def test_beta_half_doubles_required_speed(self):
         sysd = degenerate_system((100, 100), 1.0, (100.0, 1000.0))
         full = pitdvs_rule(sysd, BetaVector.ones(2), 0.0)
         half = pitdvs_rule(sysd, BetaVector((0.5, 0.5)), 0.0)
         for f in (200.0, 400.0, 800.0):
-            assert half.inverse(1, 2 * f) == pytest.approx(full.inverse(1, f), rel=1e-12)
+            assert half(1, 2 * f) == pytest.approx(full(1, f), rel=1e-12)
 
     def test_penalty_budget_validated(self):
         sysd = degenerate_system((100, 100), 1.0, (100.0, 1000.0))
@@ -145,13 +143,20 @@ class TestPitdvsRule:
 
 class TestDiscretize:
     def test_limit_rule_up_equals_build_limit(self):
+        # the limit taken as the rule and rounded up: the step to f_j starts
+        # where the limit crosses f_{j-1}, clamped at 0
         rng = np.random.default_rng(1)
         for _ in range(30):
             sysd = gen.realistic_feasible_system(rng)
-            zones = danger_zones(sysd)
-            a = build_limit(sysd, zones)
-            b = discretize(sysd, zones, limit_rule(sysd, zones), "up")
-            assert all(x.points == y.points for x, y in zip(a.funcs, b.funcs))
+            freqs = sysd.cpu.freqs
+            for zones in (danger_zones(sysd), danger_zones_overhead(sysd, "sufficient")):
+                strat = build_limit(sysd, zones)
+                for i, task in enumerate(sysd.tasks):
+                    raw = [(0.0, freqs[0])] + [
+                        (max(zones.crossing(i, task.wcec, freqs[j - 1]), 0.0), freqs[j])
+                        for j in range(1, len(freqs))
+                    ]
+                    assert strat.funcs[i].points == normalize_steps(raw).points
 
     def test_constant_rule_lifts_quantize(self):
         cpu = FrequencyTable(
@@ -162,9 +167,7 @@ class TestDiscretize:
         sysd = FrameSystem(tasks, 1.0, cpu)
         zones = danger_zones(sysd)
 
-        rule = ContinuousRule(
-            inverse=lambda i, f: -np.inf if f <= 450e6 else np.inf
-        )
+        rule = lambda i, f: -np.inf if f <= 450e6 else np.inf
         up = discretize(sysd, zones, rule, "up")
         close = discretize(sysd, zones, rule, "closest")
         # stay where the limit is still below 400 MHz (t < 0.9975)
@@ -218,6 +221,29 @@ class TestDiscretize:
                             eval_step(close.funcs[i], t)
                             >= quantize(sysd.cpu, cont, "closest") - 1e-6
                         )
+
+    def test_rule_mode_is_ignored(self):
+        # a rule is the same function whatever mode it is built with, so
+        # discretize's output depends only on discretize's own mode
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            sysd = gen.realistic_feasible_system(rng, with_overheads=True)
+            zones = danger_zones(sysd)
+            beta = BetaVector.ones(sysd.n_tasks)
+            pt = sysd.cpu.change_penalty_max
+            freqs = sysd.cpu.freqs
+            queries = list(freqs) + [(a + b) / 2.0 for a, b in zip(freqs, freqs[1:])]
+            for up, plain in (
+                (dpms_rule(sysd, "up"), dpms_rule(sysd)),
+                (pitdvs_rule(sysd, beta, pt, "up"), pitdvs_rule(sysd, beta, pt)),
+            ):
+                for i in range(sysd.n_tasks):
+                    for f in queries:
+                        assert up(i, f) == plain(i, f)
+                for mode in ("up", "closest"):
+                    a = discretize(sysd, zones, up, mode)
+                    b = discretize(sysd, zones, plain, mode)
+                    assert all(x.points == y.points for x, y in zip(a.funcs, b.funcs))
 
     def test_infeasible_raises(self):
         sysd = degenerate_system((600, 600), 1.0, (500.0, 1000.0))

@@ -10,10 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framedvs import CycleDistribution, bin_trace, convolve, soft_deadline, workload
+from framedvs import (
+    CycleDistribution, bin_trace, build_soft_speed, convolve, monte_carlo, soft_deadline, workload,
+)
 from framedvs.config import load_system
 from framedvs.core import CapExceededError, FrameSystem, FrequencyTable, TaskSpec
 from framedvs.simulator import sample_cycles
+
+import gen
 
 
 def end_bins(n_bins):
@@ -807,3 +811,41 @@ class TestSoftDeadline:
         sys0 = system_of([CycleDistribution.uniform(1, 4)])
         with pytest.raises(ValueError):
             soft_deadline(sys0, 0.0)
+
+
+class TestFlatSoftRoute:
+    """``build_soft_speed`` runs every task at f*, the smallest table speed not
+    below frame_wcec / adjusted_deadline, so a frame misses exactly when its
+    total demand exceeds f*·D. That probability, read from ``convolve``, stays
+    below eps."""
+
+    def test_exact_miss_probability_below_eps(self):
+        rng = np.random.default_rng(5)
+        nonzero = []
+        for _ in range(200):
+            cpu = gen.realistic_cpu(rng, pt_scale=0.0)
+            cpu = FrequencyTable(cpu.freqs, cpu.power)  # overheads off
+            tasks = []
+            for _ in range(int(rng.integers(2, 5))):
+                lo, hi = sorted(int(c) for c in rng.integers(1_000, 20_001, 2))
+                tasks.append(TaskSpec(hi, CycleDistribution.uniform(lo, hi)))
+            # a worst-case speed between the table's ends puts table speeds
+            # between the percentile speed and the worst case
+            wsum = sum(t.wcec for t in tasks)
+            sysd = FrameSystem(tuple(tasks), wsum / float(rng.uniform(cpu.f_min, cpu.f_max)), cpu)
+            conv = convolve(t.dist for t in tasks)
+            for eps in (0.01, 0.05, 0.1):
+                strat = build_soft_speed(sysd, soft_deadline(sysd, eps))
+                ((_, f_star),) = strat.funcs[0].points
+                miss = math.fsum(conv.probs[conv.values > f_star * sysd.deadline].tolist())
+                assert miss < eps
+                if miss > 0:
+                    nonzero.append(((id(sysd), f_star), sysd, strat, miss))
+        assert len(nonzero) >= 100
+        # Monte Carlo on the first few nonzero cases, one per system and speed,
+        # that expect at least ten misses in n frames
+        n = 20_000
+        distinct = {key: case for key, *case in nonzero if case[2] * n >= 10}
+        for seed, (sysd, strat, miss) in enumerate(list(distinct.values())[:4]):
+            rate = monte_carlo(sysd, strat, n, seed=seed).miss_rate
+            assert abs(rate - miss) <= 4 * math.sqrt(miss * (1 - miss) / n)
